@@ -357,46 +357,53 @@ func drive(ctx context.Context, cfg campaign.Config, slots int, tr *tracer) (dri
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			defer func() { exits[slot] = time.Now() }()
+			// every moment of the slot goes into exactly one span: each
+			// span starts where the slot's previous one ended
+			last := d.exec0
+			mark := func(name string) {
+				now := time.Now()
+				tr.add(0, name, slot, last, now)
+				last = now
+			}
+			defer func() { exits[slot] = last }()
 			for ctx.Err() == nil {
 				g := note.current()
-				a := time.Now()
 				spec, ok := eng.NextTask()
-				b := time.Now()
 				if !ok {
 					if eng.Done() {
 						note.close()
 						return
 					}
 					note.waitPast(g)
-					tr.add(0, "campaign.idle", slot, a, time.Now())
+					mark("campaign.idle")
 					continue
 				}
-				tr.add(0, "campaign.dispatch", slot, a, b)
+				mark("campaign.dispatch")
 				res, err := planner.RunSpec(ctx, spec)
-				c := time.Now()
-				tr.add(0, "campaign.shard", slot, b, c)
+				mark("campaign.shard")
 				if err != nil {
 					abort(err)
 					return
 				}
 				_, err = eng.Deliver(res)
-				e := time.Now()
-				tr.add(0, "campaign.merge", slot, c, e)
 				if err != nil {
+					mark("campaign.merge")
 					abort(err)
 					return
 				}
 				note.bump()
 				if cfg.CheckpointPath == "" {
+					mark("campaign.merge")
 					continue
 				}
+				// waiting for another slot's checkpoint counts as merge
 				ckMu.Lock()
-				if m := eng.MergedTasks(); m/every > lastCk/every {
+				m := eng.MergedTasks()
+				mark("campaign.merge")
+				if m/every > lastCk/every {
 					lastCk = m
-					f := time.Now()
 					err = eng.Checkpoint()
-					tr.add(0, "campaign.checkpoint", slot, f, time.Now())
+					mark("campaign.checkpoint")
 					if err == nil {
 						var fi os.FileInfo
 						if fi, err = os.Stat(cfg.CheckpointPath); err == nil {

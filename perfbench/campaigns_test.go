@@ -64,9 +64,16 @@ func TestTracedPathsMatchTheCampaign(t *testing.T) {
 			fr.transport.taskLeases, len(fr.transport.resultNs), fr.Tasks)
 	}
 
-	rs, err := replay(ctx, plain.report, 2, tr)
+	rp, err := newReplayer(plain.report, tr)
 	if err != nil {
 		t.Fatal(err)
+	}
+	rs, err := rp.pass(ctx, 2, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp.poolMisses() == 0 {
+		t.Error("a pass that starts from empty pools missed no Space")
 	}
 	var tested int64
 	for _, p := range ref.Plans {
@@ -85,10 +92,12 @@ func TestTracedPathsMatchTheCampaign(t *testing.T) {
 	spans := tr.snapshot()
 	self := selfTimes(spans)
 	b.layerMetrics(v, self, rs)
-	if !b.reconcile(v, spans, self, dr, rs, 0) {
+	// the layers of so small a campaign are too noisy to add up reliably;
+	// the spans must still tile the slots' time
+	if tiling, _ := b.reconcile(v, spans, self, dr, rs, 0); !within(tiling, tilingTolerance) {
 		t.Errorf("the drive's spans do not tile its slots' time:\n%s", out.String())
 	}
-	for _, name := range []string{"refvm.ns_per_variant", "minicc.ns_per_exec.O3", "spe.instantiate_ns_per_variant", "campaign.shard_ms_p50"} {
+	for _, name := range []string{"refvm.ns_per_variant", "minicc.ns_per_exec.O3", "spe.instantiate_ns_per_variant", "spe.pool_get_ms", "campaign.shard_ms_p50"} {
 		if v[name] <= 0 {
 			t.Errorf("%s = %v, want > 0", name, v[name])
 		}

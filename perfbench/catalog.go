@@ -45,6 +45,7 @@ var perLayer = []metricDef{
 	{Name: "spe.count_ms", Unit: "ms", Better: "lower", Moves: movesSetup},
 	{Name: "spe.space_ms", Unit: "ms", Better: "lower", Moves: movesSetup},
 	{Name: "spe.pool_misses", Unit: "count", Better: "lower", Moves: "variants_per_s on testsuite"},
+	{Name: "spe.pool_get_ms", Unit: "ms", Better: "lower", Moves: "variants_per_s on testsuite"},
 	{Name: "spe.instantiate_ns_per_variant", Unit: "ns", Better: "lower", Moves: movesInstance},
 	{Name: "refvm.ns_per_variant", Unit: "ns", Better: "lower", Moves: movesRefvm},
 	{Name: "refvm.limit_share", Unit: "share", Better: "lower", Moves: "input property: " + movesRefvm},

@@ -7,8 +7,6 @@
 // runs it from the repository root:
 //
 //	bash perfbench/run.sh --workload testsuite --seed 1 --seconds 20 --trace 0
-//
-// `perfbench spread FILE...` summarises saved runs (see spread.go).
 package main
 
 import (
@@ -39,9 +37,6 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 && args[0] == "spread" {
-		return spreadMain(args[1:], stdout, stderr)
-	}
 	fs := flag.NewFlagSet("perfbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	name := fs.String("workload", "", "testsuite, releases or regions-fabric")

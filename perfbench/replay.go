@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -17,10 +18,11 @@ import (
 	"spe/internal/spe"
 )
 
-// replayStats counts what the replay saw per variant. Layer times come
-// from the spans; these are the counts the per-variant ratios divide by
-// and the input properties (step-limited oracle runs, compiler crashes).
+// replayStats counts what replay passes saw. Layer times come from the
+// spans; these are the counts the per-variant ratios divide by and the
+// input properties (step-limited oracle runs, compiler crashes).
 type replayStats struct {
+	replays      int // passes summed; span totals divide by it
 	variants     int64
 	refvmNs      int64
 	refvmLimited int64
@@ -38,6 +40,7 @@ type replayStats struct {
 }
 
 func (s *replayStats) add(o *replayStats) {
+	s.replays += o.replays
 	s.variants += o.variants
 	s.refvmNs += o.refvmNs
 	s.refvmLimited += o.refvmLimited
@@ -65,6 +68,7 @@ func (s *replayStats) allExecs() int64 {
 
 // replayFile is one corpus file's derived state.
 type replayFile struct {
+	src  string
 	plan campaign.PlanInfo
 	pool *spe.Pool
 }
@@ -75,7 +79,7 @@ type shardTask struct {
 	from, to int64
 }
 
-// replay re-executes the tested variants of a finished campaign through
+// replayer re-executes the tested variants of a finished campaign through
 // the batched entry points its shard workers use: an spe.Pool per file,
 // Space.AcquireAt, then FillDeltaAt and Instance.Instantiate for every
 // bind, refvm.Cache.RunBatch for the oracle and minicc.Compiler.RunBatch
@@ -84,18 +88,24 @@ type shardTask struct {
 // each file's stride and walk length. It must come from a measured
 // campaign, not the reference: the reference records the coverage curve,
 // which would make the replay record coverage that measured fifo
-// campaigns skip. Seed originals (one per file, run by the campaign's
-// untemplated path) are not replayed. Plan derivation is replayed and
-// timed too, and one clean variant per shard is also compiled and run
-// through the untemplated minicc.Lower, Compiler.Compile and
-// minicc.Execute (the cold split).
-func replay(ctx context.Context, rep *campaign.Report, slots int, tr *tracer) (*replayStats, error) {
+// campaigns skip. A file's first shard also replays the file's unmodified
+// source through the untemplated path the campaign runs it on.
+type replayer struct {
+	cfg   campaign.Config
+	files []*replayFile
+	tasks []shardTask
+}
+
+// newReplayer derives every file's plan state the way the campaign does,
+// timing cc.Parse + cc.Analyze, skeleton.Build, spe.Count (canonical and
+// naive) and spe.NewPool (which builds the first Space) as root spans.
+func newReplayer(rep *campaign.Report, tr *tracer) (*replayer, error) {
 	cfg := rep.Config
 	if len(rep.Plans) != len(cfg.Corpus) {
 		return nil, fmt.Errorf("replay: report has %d plans for %d files", len(rep.Plans), len(cfg.Corpus))
 	}
+	r := &replayer{cfg: cfg}
 	opts := spe.Options{Mode: spe.ModeCanonical, Granularity: cfg.Granularity}
-	var tasks []shardTask
 	for i, src := range cfg.Corpus {
 		plan := rep.Plans[i]
 		if plan.SeedIndex != i {
@@ -130,12 +140,36 @@ func replay(ctx context.Context, rep *campaign.Report, slots int, tr *tracer) (*
 			return nil, err
 		}
 		tr.add(0, "spe.space", 0, d, time.Now())
-		rf := &replayFile{plan: plan, pool: pool}
+		rf := &replayFile{src: src, plan: plan, pool: pool}
+		r.files = append(r.files, rf)
 		for from := int64(0); from < plan.Tested; from += int64(cfg.ShardSize) {
-			tasks = append(tasks, shardTask{file: rf, from: from, to: min(from+int64(cfg.ShardSize), plan.Tested)})
+			r.tasks = append(r.tasks, shardTask{file: rf, from: from, to: min(from+int64(cfg.ShardSize), plan.Tested)})
 		}
 	}
+	return r, nil
+}
 
+// poolMisses sums the Space builds the files' pools made on Get.
+func (r *replayer) poolMisses() int64 {
+	var n int64
+	for _, f := range r.files {
+		_, m := f.pool.Stats()
+		n += m
+	}
+	return n
+}
+
+// pass replays every shard once on `slots` goroutines and returns what it
+// counted. It starts from empty Space pools, as the campaign's shards do:
+// the garbage collections during plan derivation empty the campaign's
+// pools (telemetry counts a miss for every testsuite file), and two
+// collections here empty the replay's, so each shard's Pool.Get pays the
+// same Space rebuilds. One clean variant per shard is also compiled and
+// run through the untemplated minicc.Lower, Compiler.Compile and
+// minicc.Execute (the cold split).
+func (r *replayer) pass(ctx context.Context, slots int, tr *tracer) (*replayStats, error) {
+	runtime.GC()
+	runtime.GC()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	queue := make(chan shardTask)
@@ -155,7 +189,7 @@ func replay(ctx context.Context, rep *campaign.Report, slots int, tr *tracer) (*
 				if ctx.Err() != nil {
 					continue
 				}
-				if err := replayShard(ctx, cfg, t, rc, mc, slot, tr, &local); err != nil {
+				if err := replayShard(ctx, r.cfg, t, rc, mc, slot, tr, &local); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -169,7 +203,7 @@ func replay(ctx context.Context, rep *campaign.Report, slots int, tr *tracer) (*
 			mu.Unlock()
 		}(s)
 	}
-	for _, t := range tasks {
+	for _, t := range r.tasks {
 		queue <- t
 	}
 	close(queue)
@@ -177,20 +211,64 @@ func replay(ctx context.Context, rep *campaign.Report, slots int, tr *tracer) (*
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	total.replays = 1
 	return &total, nil
 }
 
+// replayOriginal runs a file's unmodified source the way the campaign
+// does on the file's first shard: cc.Parse and cc.Analyze, the
+// tree-walking interp.Run as the oracle, then an untemplated
+// minicc.Compiler.Run per configuration if the oracle finds no undefined
+// behaviour. A source the front end rejects is skipped, as the campaign
+// skips it.
+func replayOriginal(cfg campaign.Config, src string, cov *minicc.Coverage, slot int, parent int64, tr *tracer) {
+	a := time.Now()
+	f, err := cc.Parse(src)
+	if err != nil {
+		return
+	}
+	prog, err := cc.Analyze(f)
+	if err != nil {
+		return
+	}
+	b := time.Now()
+	ref := interp.Run(prog, interp.Config{MaxSteps: cfg.Steps})
+	c := time.Now()
+	tr.add(parent, "original.front", slot, a, b)
+	tr.add(parent, "original.interp", slot, b, c)
+	if !ref.Defined() {
+		return
+	}
+	ecfg := minicc.ExecConfig{MaxSteps: ref.Steps*20 + 50_000, Dispatch: cfg.BackendDispatch}
+	for _, ver := range cfg.Versions {
+		for _, opt := range cfg.OptLevels {
+			d := time.Now()
+			(&minicc.Compiler{Version: ver, Opt: opt, Seeded: true, Coverage: cov}).Run(prog, ecfg)
+			tr.add(parent, "original.minicc", slot, d, time.Now())
+		}
+	}
+}
+
 // replayShard replays one shard the way the campaign's batched shard path
-// runs it: all oracle verdicts first, then each configuration over the
-// clean variants; then the cold split on the first clean variant.
+// runs it: the file's original first on the file's first shard, then all
+// oracle verdicts, then each configuration over the clean variants; then
+// the cold split on the first clean variant.
 func replayShard(ctx context.Context, cfg campaign.Config, t shardTask, rc *refvm.Cache, mc *minicc.Cache, slot int, tr *tracer, st *replayStats) error {
 	shardID := tr.id()
 	s0 := time.Now()
 	defer func() { tr.record(shardID, 0, "replay.shard", slot, s0, time.Now()) }()
+	var cov *minicc.Coverage
+	if cfg.Schedule != campaign.ScheduleFIFO || cfg.CoverageCurve {
+		cov = minicc.NewLenientCoverage()
+	}
+	if t.from == 0 {
+		replayOriginal(cfg, t.file.src, cov, slot, shardID, tr)
+	}
+	g := time.Now()
 	space := t.file.pool.Get()
 	defer t.file.pool.Put(space)
 	a := time.Now()
-	tr.add(shardID, "spe.pool_get", slot, s0, a)
+	tr.add(shardID, "spe.pool_get", slot, g, a)
 
 	n := int(t.to - t.from)
 	idx := new(big.Int)
@@ -267,10 +345,6 @@ func replayShard(ctx context.Context, cfg campaign.Config, t shardTask, rc *refv
 	}
 	execCfg := func(i int) minicc.ExecConfig {
 		return minicc.ExecConfig{MaxSteps: refs[i].Steps*20 + 50_000, Dispatch: cfg.BackendDispatch}
-	}
-	var cov *minicc.Coverage
-	if cfg.Schedule != campaign.ScheduleFIFO || cfg.CoverageCurve {
-		cov = minicc.NewLenientCoverage()
 	}
 	for _, ver := range cfg.Versions {
 		for _, opt := range cfg.OptLevels {

@@ -25,42 +25,6 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// quartiles returns the three cut points of Python's
-// statistics.quantiles(xs, n=4) with its default exclusive method, which
-// is how the benchmark's run-to-run spread is defined. It needs at least
-// two values.
-func quartiles(xs []float64) (q [3]float64, ok bool) {
-	ld := len(xs)
-	if ld < 2 {
-		return q, false
-	}
-	s := sortedCopy(xs)
-	const n = 4
-	m := ld + 1
-	for i := 1; i < n; i++ {
-		j := i * m / n
-		if j < 1 {
-			j = 1
-		} else if j > ld-1 {
-			j = ld - 1
-		}
-		delta := i*m - j*n
-		q[i-1] = (s[j-1]*float64(n-delta) + s[j]*float64(delta)) / n
-	}
-	return q, true
-}
-
-// spread is the distance between the first and third quartile as a share
-// of the median: the figure the benchmark's bounds are checked against.
-func spread(xs []float64) float64 {
-	q, ok := quartiles(xs)
-	med := median(xs)
-	if !ok || med == 0 {
-		return 0
-	}
-	return (q[2] - q[0]) / math.Abs(med)
-}
-
 // percentile returns the nearest-rank p-th percentile of xs (0 for none).
 func percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {

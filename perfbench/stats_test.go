@@ -24,52 +24,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-// TestQuartilesMatchPython pins quartiles to the values Python's
-// statistics.quantiles(data, n=4) returns for the same data.
-func TestQuartilesMatchPython(t *testing.T) {
-	cases := []struct {
-		xs   []float64
-		want [3]float64
-	}{
-		// statistics.quantiles(range(1, 11), n=4) == [2.75, 5.5, 8.25]
-		{[]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, [3]float64{2.75, 5.5, 8.25}},
-		// statistics.quantiles([1, 2], n=4) == [0.75, 1.5, 2.25]
-		{[]float64{2, 1}, [3]float64{0.75, 1.5, 2.25}},
-		// statistics.quantiles([1, 2, 3], n=4) == [1.0, 2.0, 3.0]
-		{[]float64{1, 2, 3}, [3]float64{1, 2, 3}},
-		// statistics.quantiles([100, 101, 103, 99, 98], n=4) == [98.5, 100.0, 102.0]
-		{[]float64{100, 101, 103, 99, 98}, [3]float64{98.5, 100, 102}},
-	}
-	for _, c := range cases {
-		got, ok := quartiles(c.xs)
-		if !ok {
-			t.Fatalf("quartiles(%v) not ok", c.xs)
-		}
-		for i := range got {
-			if !near(got[i], c.want[i]) {
-				t.Errorf("quartiles(%v) = %v, want %v", c.xs, got, c.want)
-				break
-			}
-		}
-	}
-	if _, ok := quartiles([]float64{1}); ok {
-		t.Error("quartiles of one value should not be ok")
-	}
-}
-
-func TestSpread(t *testing.T) {
-	xs := []float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}
-	if got, want := spread(xs), (8.25-2.75)/5.5; !near(got, want) {
-		t.Errorf("spread = %v, want %v", got, want)
-	}
-	if got := spread([]float64{5, 5, 5, 5}); got != 0 {
-		t.Errorf("spread of constant values = %v, want 0", got)
-	}
-	if got := spread([]float64{0, 0}); got != 0 {
-		t.Errorf("spread with a zero median = %v, want 0", got)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := make([]float64, 100)
 	for i := range xs {

@@ -9,15 +9,23 @@ import (
 	"strconv"
 )
 
-// tilingTolerance bounds the untraced share of the drive's wall × slots:
-// the campaign-boundary spans must tile the slots' time to within it.
-// inShardTolerance bounds how far the replayed in-shard layers may exceed
-// the drive's shard time before the split counts as over-attributed. The
-// replay is another execution of the same variants, and on a shared VM
-// two executions seconds apart differ by up to about 15%.
+// tilingTolerance bounds how far the campaign-boundary spans may miss
+// the drive's wall × slots. Each slot's spans follow one another without
+// gaps, so anything beyond rounding is a fault in the benchmark's own
+// accounting, and the run is not correct.
+//
+// The in-shard layers are measured on other executions of the same
+// shards (the replay passes, the telemetry campaigns), and on a shared VM
+// executions seconds apart run at different speeds: over eight traced
+// runs per workload on a 2-vCPU VM the layers added up to 81–121% of the
+// drive's shard time. Beyond inShardTolerance either way the run prints
+// NOT RECONCILED; beyond inShardFault the split misses a layer or counts
+// one twice, and the run is not correct. Without the Pool.Get spans, for
+// example, the layers add up to 44% of shard time on testsuite.
 const (
-	tilingTolerance  = 0.02
+	tilingTolerance  = 0.001
 	inShardTolerance = 0.25
+	inShardFault     = 0.5
 )
 
 // runtimeSample reads the Go runtime's allocation and CPU-class counters.
@@ -56,8 +64,13 @@ func spanStats(spans []span, name string) []float64 {
 
 // tracedRun makes the per-layer run: the reference, one untraced campaign
 // (runtime counters, and the wall the tracing overhead is measured
-// against), the traced campaign drive, the traced fabric campaign for
-// fabric workloads, and the replay of the in-shard layers.
+// against), an in-process telemetry campaign for fabric workloads, a
+// replay pass of the in-shard layers, the traced campaign drive, a second
+// replay pass, a second telemetry campaign, and the traced fabric
+// campaign for fabric workloads. The replay passes and the telemetry
+// campaigns sit on either side of the drive, so that a host that speeds
+// up or slows down during the run moves their means as much as the
+// drive.
 func (b *bench) tracedRun(ctx context.Context) (result, error) {
 	v := map[string]float64{}
 	ticks := readCPUTicks()
@@ -81,21 +94,62 @@ func (b *bench) tracedRun(ctx context.Context) (result, error) {
 	}
 
 	// classify and pool misses come from the campaign's own telemetry,
-	// which only an in-process run carries
-	telRun := plain
-	if b.w.fabric {
-		telRun = runInProcess(ctx, b.config(b.slots))
-		chk.check("in-process telemetry campaign", telRun, b.out)
+	// which only in-process campaigns carry: one before the drive and one
+	// after it, so that their mean, like the replay passes', sits where
+	// the drive does
+	var classify, misses []float64
+	var telVariants int
+	telemetry := func(r campaignRun) {
+		if r.tel == nil || r.Err != "" {
+			return
+		}
+		snap := r.tel.Registry().Snapshot()
+		classify = append(classify, counter(snap, `spe_stage_ns_total{stage="classify"}`))
+		misses = append(misses, counter(snap, "spe_space_pool_misses"))
+		telVariants = r.Variants
 	}
-	var classifyNs float64
-	if telRun.tel != nil && telRun.Err == "" {
-		snap := telRun.tel.Registry().Snapshot()
-		classifyNs = counter(snap, `spe_stage_ns_total{stage="classify"}`)
-		v["campaign.classify_ns_per_variant"] = ratio(classifyNs, float64(telRun.Variants))
-		v["spe.pool_misses"] = counter(snap, "spe_space_pool_misses")
+	telCampaign := func(label string) {
+		r := runInProcess(ctx, b.config(b.slots))
+		os.Remove(b.ckpt)
+		chk.check(label, r, b.out)
+		telemetry(r)
+	}
+	if b.w.fabric {
+		telCampaign("in-process telemetry campaign")
+	} else {
+		telemetry(plain)
 	}
 
 	tr := newTracer()
+	var (
+		rp *replayer
+		rs *replayStats
+	)
+	replayPass := func() {
+		if rp == nil {
+			return
+		}
+		st, err := rp.pass(ctx, b.slots, tr)
+		if err != nil {
+			fmt.Fprintf(b.out, "FAIL replay: %v\n", err)
+			chk.correct = false
+			rp = nil
+			return
+		}
+		if rs == nil {
+			rs = &replayStats{}
+		}
+		rs.add(st)
+	}
+	if plain.report != nil {
+		var err error
+		if rp, err = newReplayer(plain.report, tr); err != nil {
+			fmt.Fprintf(b.out, "FAIL replay: %v\n", err)
+			chk.correct = false
+		}
+	}
+	replayPass()
+
 	dr, derr := drive(ctx, b.config(b.slots), b.slots, tr)
 	os.Remove(b.ckpt)
 	drun := campaignRun{Tasks: dr.tasks}
@@ -106,6 +160,17 @@ func (b *bench) tracedRun(ctx context.Context) (result, error) {
 	}
 	chk.check("traced drive", drun, b.out)
 	tracedExec := dr.end.Sub(dr.exec0)
+	replayPass()
+	telCampaign("in-process telemetry campaign after the drive")
+	classifyNs := median(classify)
+	if len(classify) > 0 {
+		v["campaign.classify_ns_per_variant"] = ratio(classifyNs, float64(telVariants))
+		v["spe.pool_misses"] = median(misses)
+	}
+	if rp != nil {
+		fmt.Fprintf(b.out, "spe.Space pool misses: %s in the telemetry campaigns, %d in %d replay passes\n",
+			rounded(misses), rp.poolMisses(), rs.replays)
+	}
 
 	if b.w.fabric {
 		fr := runFabric(ctx, b.config(b.slots), b.slots, true, tr)
@@ -124,21 +189,13 @@ func (b *bench) tracedRun(ctx context.Context) (result, error) {
 		v["trace.overhead_share"] = ratio(tracedExec.Seconds(), plain.Exec.Seconds()) - 1
 	}
 
-	var rs *replayStats
-	if plain.report != nil {
-		var err error
-		if rs, err = replay(ctx, plain.report, b.slots, tr); err != nil {
-			fmt.Fprintf(b.out, "FAIL replay: %v\n", err)
-			chk.correct = false
-		}
-	}
 	spans := tr.snapshot()
 	self := selfTimes(spans)
 	if rs != nil {
 		b.layerMetrics(v, self, rs)
 	}
 	if derr == nil {
-		if !b.reconcile(v, spans, self, dr, rs, classifyNs) {
+		if tiling, r := b.reconcile(v, spans, self, dr, rs, classifyNs); !within(tiling, tilingTolerance) || !within(r, inShardFault) {
 			chk.correct = false
 		}
 	}
@@ -155,6 +212,32 @@ func (b *bench) tracedRun(ctx context.Context) (result, error) {
 	return result{Correct: chk.correct, Attempted: chk.attempted, Failed: chk.failed, Metrics: fill(perLayer, v)}, nil
 }
 
+// inShard is the split of shard time into layers, in ns per replay pass.
+// orig is the files' unmodified sources (front end, tree-walking oracle
+// and untemplated compiles).
+type inShard struct{ orig, pool, inst, ref, cc float64 }
+
+func (s inShard) total() float64 { return s.orig + s.pool + s.inst + s.ref + s.cc }
+
+// inShardLayers sums the replay's in-shard span self times and divides
+// them by the number of passes.
+func inShardLayers(self map[string]int64, rs *replayStats) inShard {
+	var s inShard
+	if rs == nil || rs.replays == 0 {
+		return s
+	}
+	s.orig = float64(self["original.front"] + self["original.interp"] + self["original.minicc"])
+	s.pool = float64(self["spe.pool_get"])
+	s.inst = float64(self["spe.acquire"] + self["spe.instantiate"])
+	s.ref = float64(self["refvm.batch"] + self["refvm.run"])
+	for opt := 0; opt < 4; opt++ {
+		o := strconv.Itoa(opt)
+		s.cc += float64(self["minicc.batch.O"+o] + self["minicc.run.O"+o])
+	}
+	n := float64(rs.replays)
+	return inShard{s.orig / n, s.pool / n, s.inst / n, s.ref / n, s.cc / n}
+}
+
 // layerMetrics turns the replay's span self times and counts into the
 // per-layer metrics.
 func (b *bench) layerMetrics(v map[string]float64, self map[string]int64, rs *replayStats) {
@@ -163,6 +246,8 @@ func (b *bench) layerMetrics(v map[string]float64, self map[string]int64, rs *re
 	v["skeleton.build_ms"] = ms("skeleton.build")
 	v["spe.count_ms"] = ms("spe.count")
 	v["spe.space_ms"] = ms("spe.space")
+	l := inShardLayers(self, rs)
+	v["spe.pool_get_ms"] = l.pool / 1e6
 	n := float64(rs.variants)
 	v["spe.instantiate_ns_per_variant"] = ratio(float64(self["spe.acquire"]+self["spe.instantiate"]), n)
 	v["refvm.ns_per_variant"] = ratio(float64(self["refvm.batch"]+self["refvm.run"]), n)
@@ -179,17 +264,22 @@ func (b *bench) layerMetrics(v map[string]float64, self map[string]int64, rs *re
 	}
 	v["minicc.lower_ns"] = ratio(float64(rs.lowerNs), float64(rs.lowerN))
 	v["minicc.crash_share"] = ratio(float64(rs.crashes), float64(rs.allExecs()))
-	fmt.Fprintf(b.out, "replay: %d variants, %d executions, cold split on %d compilations\n", rs.variants, rs.allExecs(), rs.lowerN)
+	fmt.Fprintf(b.out, "replay: %d passes, %d variants, %d executions, cold split on %d compilations\n",
+		rs.replays, rs.variants, rs.allExecs(), rs.lowerN)
 }
 
-// reconcile accounts for the traced drive's wall × slots. Spans at the
-// campaign boundary (set-up, dispatch, shard, merge, checkpoint, idle)
-// must tile it to within tilingTolerance. Each shard span is then split
-// into the in-shard layers the replay measured (instantiate, refvm,
-// minicc) plus classify from telemetry; what is left of the shard time,
-// with the untraced gaps, is unattributed. It reports false when the
-// spans do not tile the slots' time.
-func (b *bench) reconcile(v map[string]float64, spans []span, self map[string]int64, dr driveRun, rs *replayStats, classifyNs float64) bool {
+// reconcile accounts for the traced drive's wall × slots. The spans at the
+// campaign boundary (set-up, dispatch, shard, merge, finalize, checkpoint,
+// idle) must tile it to within tilingTolerance. Each shard span is then
+// split into the in-shard layers: the seed originals, Pool.Get (a miss
+// rebuilds the Space), instantiate, refvm and minicc from the replay
+// passes, and classify from telemetry. Those should add up to the shard
+// time to within inShardTolerance either way, and must to within
+// inShardFault. The remainder, which is negative when the layers
+// over-attribute, is trace.unattributed_share. It returns the share of
+// wall × slots the spans tile and the in-shard layers' share of shard
+// time.
+func (b *bench) reconcile(v map[string]float64, spans []span, self map[string]int64, dr driveRun, rs *replayStats, classifyNs float64) (tiling, r float64) {
 	wall := dr.end.Sub(dr.start).Nanoseconds()
 	budget := float64(wall) * float64(dr.slots)
 	layers := []struct {
@@ -212,17 +302,9 @@ func (b *bench) reconcile(v map[string]float64, spans []span, self map[string]in
 		tiled += layers[i].ns
 	}
 	shard := layers[len(layers)-1].ns
-	var inst, ref, cc float64
-	if rs != nil {
-		inst = float64(self["spe.acquire"] + self["spe.instantiate"])
-		ref = float64(self["refvm.batch"] + self["refvm.run"])
-		for opt := 0; opt < 4; opt++ {
-			o := strconv.Itoa(opt)
-			cc += float64(self["minicc.batch.O"+o] + self["minicc.run.O"+o])
-		}
-	}
-	inShard := inst + ref + cc + classifyNs
-	unattributed := (budget - tiled) + (shard - inShard)
+	l := inShardLayers(self, rs)
+	attributed := l.total() + classifyNs
+	unattributed := (budget - tiled) + (shard - attributed)
 	v["trace.unattributed_share"] = ratio(unattributed, budget)
 
 	var idle float64
@@ -243,7 +325,6 @@ func (b *bench) reconcile(v map[string]float64, spans []span, self map[string]in
 	v["campaign.checkpoint_ms"] = median(spanStats(spans, "campaign.checkpoint")) / 1e6
 	v["campaign.checkpoint_kb"] = median(dr.ckptBytes) / 1e3
 
-	tiling := ratio(tiled, budget)
 	fmt.Fprintf(b.out, "reconciliation of the traced drive: wall %.3fs x %d slots = %.3f slot-s, %d shard tasks (p99 over %d samples)\n",
 		float64(wall)/1e9, dr.slots, budget/1e9, dr.tasks, len(shardMs))
 	share := func(label string, ns float64) {
@@ -252,26 +333,36 @@ func (b *bench) reconcile(v map[string]float64, spans []span, self map[string]in
 	for _, l := range layers[:len(layers)-1] {
 		share(l.name, l.ns)
 	}
-	share("shard: spe instantiate", inst)
-	share("shard: refvm", ref)
-	share("shard: minicc", cc)
+	share("shard: seed originals", l.orig)
+	share("shard: spe pool get", l.pool)
+	share("shard: spe instantiate", l.inst)
+	share("shard: refvm", l.ref)
+	share("shard: minicc", l.cc)
 	share("shard: campaign classify", classifyNs)
-	share("shard: unattributed", shard-inShard)
+	share("shard: unattributed", shard-attributed)
 	share("untraced gaps", budget-tiled)
-	ok := tiling >= 1-tilingTolerance && tiling <= 1+tilingTolerance
-	fmt.Fprintf(b.out, "  campaign-boundary spans tile %.2f%% of wall x slots (tolerance %.0f%%): %s\n",
-		100*tiling, 100*tilingTolerance, verdict(ok))
-	over := inShard <= shard*(1+inShardTolerance)
-	fmt.Fprintf(b.out, "  replayed in-shard layers are %.2f%% of shard time (at most %.0f%% allowed): %s\n",
-		100*ratio(inShard, shard), 100*(1+inShardTolerance), verdict(over))
-	fmt.Fprintf(b.out, "  trace.unattributed_share %.4f (untraced gaps plus shard time no layer accounts for, e.g. spe.Space pool rebuilds)\n",
-		v["trace.unattributed_share"])
-	return ok
+	tiling = ratio(tiled, budget)
+	fmt.Fprintf(b.out, "  campaign-boundary spans tile %.2f%% of wall x slots (tolerance %.1f%%): %s\n",
+		100*tiling, 100*tilingTolerance, verdict(within(tiling, tilingTolerance), "NOT RECONCILED, run failed"))
+	r = ratio(attributed, shard)
+	fmt.Fprintf(b.out, "  in-shard layers add up to %.2f%% of shard time (tolerance %.0f%% either way, %.0f%% fails the run): %s\n",
+		100*r, 100*inShardTolerance, 100*inShardFault,
+		verdict(within(r, inShardTolerance), verdict(within(r, inShardFault), "NOT RECONCILED, run failed")))
+	note := "untraced gaps plus shard time no layer accounts for"
+	if unattributed < 0 {
+		note = "NEGATIVE: the in-shard layers, measured on other executions, over-attribute the shard time"
+	}
+	fmt.Fprintf(b.out, "  trace.unattributed_share %.4f (%s)\n", v["trace.unattributed_share"], note)
+	return tiling, r
 }
 
-func verdict(ok bool) string {
+// within reports whether x is 1 to within tol either way.
+func within(x, tol float64) bool { return x >= 1-tol && x <= 1+tol }
+
+// verdict returns "ok", or failed when a check did not hold.
+func verdict(ok bool, failed string) string {
 	if ok {
 		return "ok"
 	}
-	return "NOT RECONCILED"
+	return failed
 }

@@ -67,12 +67,18 @@ func TestBenchmarkJSONMatchesCatalog(t *testing.T) {
 			t.Errorf("per_layer[%d] = %+v, catalog has %+v", i, m, d)
 		}
 	}
-	if len(doc.Workloads) != len(workloads) {
-		t.Fatalf("BENCHMARK.json lists %d workloads, the program %d", len(doc.Workloads), len(workloads))
+	var listed []workload
+	for _, w := range workloads {
+		if w.unlisted == "" {
+			listed = append(listed, w)
+		}
+	}
+	if len(doc.Workloads) != len(listed) {
+		t.Fatalf("BENCHMARK.json lists %d workloads, the program %d", len(doc.Workloads), len(listed))
 	}
 	for i, w := range doc.Workloads {
-		if w.Name != workloads[i].name || w.Why != workloads[i].why {
-			t.Errorf("workloads[%d] = %+v, program has %q: %q", i, w, workloads[i].name, workloads[i].why)
+		if w.Name != listed[i].name || w.Why != listed[i].why {
+			t.Errorf("workloads[%d] = %+v, program has %q: %q", i, w, listed[i].name, listed[i].why)
 		}
 	}
 }

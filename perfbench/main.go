@@ -6,7 +6,7 @@
 // split. README.md explains the workloads and metrics; run.sh builds and
 // runs it from the repository root:
 //
-//	bash perfbench/run.sh --workload testsuite --seed 1 --seconds 20 --trace 0
+//	bash perfbench/run.sh --workload releases --seed 1 --seconds 40 --trace 0
 package main
 
 import (
@@ -40,13 +40,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("perfbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	name := fs.String("workload", "", "testsuite, releases or regions-fabric")
-	seed := fs.Int64("seed", 1, "run seed; it rotates the order of the campaigns in each measured round (inputs are fixed, see README.md)")
-	seconds := fs.Int("seconds", 20, "how long the measured campaigns run, in seconds")
+	seed := fs.Int64("seed", 1, "run seed; odd seeds start with the one-worker campaign (inputs are fixed, see README.md)")
+	seconds := fs.Int("seconds", 40, "how long the measured campaigns run, in seconds")
 	traced := fs.Int("trace", 0, "1 makes the traced run and prints the per-layer metrics")
 	corpusSeed := fs.Int64("corpus-seed", defaultCorpusSeed, fmt.Sprintf("generator seed of the testsuite corpus (hold-out for claims: %d)", holdoutCorpusSeed))
 	child := fs.Int("campaign-child", 0, "internal: run one measured campaign at this many workers and print it as JSON")
+	yard := fs.Bool("yardstick", false, "internal: take one yardstick reading and print it as JSON")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *yard {
+		cpu, err := measureYardstick()
+		if err != nil {
+			fmt.Fprintf(stderr, "perfbench: %v\n", err)
+			return 1
+		}
+		line, _ := json.Marshal(yardstickReading{CPU: cpu})
+		fmt.Fprintf(stdout, "%s\n", line)
+		return 0
 	}
 	w, ok := findWorkload(*name)
 	if !ok || *seconds < 1 || (*traced != 0 && *traced != 1) || fs.NArg() > 0 {
@@ -74,6 +85,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	fmt.Fprintf(stdout, "workload %s: %s\n", w.name, w.why)
+	if w.unlisted != "" {
+		fmt.Fprintf(stdout, "not in BENCHMARK.json: %s\n", w.unlisted)
+	}
 	fmt.Fprintf(stdout, "GOMAXPROCS=%d, %d corpus files\n", slots, len(b.cfg.Corpus))
 	ctx := context.Background()
 	var res result
@@ -192,27 +206,41 @@ func (c *checker) check(label string, r campaignRun, out io.Writer) {
 	}
 }
 
-// untracedRun measures the end-to-end metrics: rounds of two campaigns at
-// nproc workers and one at one worker, each in its own child process,
-// until the time is up; then the reference run in this process. The nproc
-// rate varies more between identical campaigns than the one-worker rate,
-// so it gets twice the samples; the seed rotates where the one-worker
-// campaign sits in the round, so order effects alternate across runs.
+// untracedRun measures the end-to-end metrics: campaigns at nproc workers
+// and at one worker in turn, each in its own child process, until the
+// time is up; then the reference run in this process. The seed picks
+// which kind starts, so order effects alternate across runs. A yardstick
+// reading precedes the first campaign and follows every one, and each
+// campaign's wall-clock figures are scaled by the host speed the two
+// readings on either side of it give (hostSpeed).
 func (b *bench) untracedRun(ctx context.Context, dur time.Duration, seed int64) (result, error) {
-	round := []int{b.slots, 1, b.slots}
-	for r := seed % 3; r > 0; r-- {
-		round = append(round[1:], round[0])
+	order := []int{b.slots, 1}
+	if seed%2 != 0 {
+		order = []int{1, b.slots}
 	}
 	type sample struct {
 		workers int
 		run     campaignRun
+		speed   float64
 	}
 	var samples []sample
+	var readings []float64
+	read := func() error {
+		y, err := readYardstick(ctx)
+		readings = append(readings, y.Seconds())
+		return err
+	}
+	if err := read(); err != nil {
+		return result{}, err
+	}
 	deadline := time.Now().Add(dur)
-	for len(samples) == 0 || time.Now().Before(deadline) {
-		for _, workers := range round {
-			samples = append(samples, sample{workers, b.inChild(ctx, workers)})
+	for i := 0; i < len(order) || time.Now().Before(deadline); i++ {
+		workers := order[i%len(order)]
+		run := b.inChild(ctx, workers)
+		if err := read(); err != nil {
+			return result{}, err
 		}
+		samples = append(samples, sample{workers, run, hostSpeed(readings[len(readings)-2:])})
 	}
 
 	refStart := time.Now()
@@ -222,23 +250,25 @@ func (b *bench) untracedRun(ctx context.Context, dur time.Duration, seed int64) 
 		fmt.Fprintf(b.out, "FAIL reference: %v\n", refErr)
 	}
 	fmt.Fprintf(b.out, "paranoid reference: %.1fs\n", time.Since(refStart).Seconds())
-	var rateN, rate1, rawN, setups, setupShares, coverage, rssN, rss1, steal []float64
+	var rateN, rate1, rawN, raw1, setups, rawSetups, setupShares, coverage, rssN, rss1, steal []float64
 	for i, s := range samples {
 		chk.check(fmt.Sprintf("campaign %d (%d workers)", i, s.workers), s.run, b.out)
 		if s.run.Err != "" {
 			continue
 		}
-		setups = append(setups, s.run.ran(s.run.Setup))
+		setups = append(setups, s.run.ran(s.run.Setup)*s.speed)
+		rawSetups = append(rawSetups, s.run.ran(s.run.Setup))
 		steal = append(steal, s.run.Steal)
 		if s.workers == b.slots {
-			rateN = append(rateN, s.run.variantsPerSec())
-			rawN = append(rawN, ratio(float64(s.run.Variants), s.run.Exec.Seconds()))
+			rateN = append(rateN, s.run.variantsPerSec()/s.speed)
+			rawN = append(rawN, s.run.variantsPerSec())
 			setupShares = append(setupShares, ratio(s.run.Setup.Seconds(), (s.run.Setup+s.run.Exec).Seconds()))
 			coverage = append(coverage, s.run.Coverage)
 			rssN = append(rssN, s.run.RSSMB)
 		}
 		if s.workers == 1 {
-			rate1 = append(rate1, s.run.variantsPerSec())
+			rate1 = append(rate1, s.run.variantsPerSec()/s.speed)
+			raw1 = append(raw1, s.run.variantsPerSec())
 			rss1 = append(rss1, s.run.RSSMB)
 		}
 	}
@@ -256,9 +286,10 @@ func (b *bench) untracedRun(ctx context.Context, dur time.Duration, seed int64) 
 	fmt.Fprintf(b.out, "%d campaigns (%d at %d workers, %d at 1), %d shard tasks, %d failed\n",
 		len(samples), len(rateN), b.slots, len(rate1), chk.attempted, chk.failed)
 	fmt.Fprintf(b.out, "  hypervisor steal  median %.3f of %s (time it took is not counted)\n", median(steal), rounded(steal))
-	fmt.Fprintf(b.out, "  variants_per_s    median %.1f of %s; %.1f counting steal\n", values["variants_per_s"], rounded(rateN), median(rawN))
-	fmt.Fprintf(b.out, "  variants_per_s_1w median %.1f of %s\n", values["variants_per_s_1w"], rounded(rate1))
-	fmt.Fprintf(b.out, "  setup_s           median %.4f of %s\n", values["setup_s"], rounded(setups))
+	fmt.Fprintf(b.out, "  yardstick         median %.4f s CPU of %s; reference %.3f s\n", median(readings), rounded(readings), yardstickRef.Seconds())
+	fmt.Fprintf(b.out, "  variants_per_s    median %.1f of %s; unscaled %.1f of %s\n", values["variants_per_s"], rounded(rateN), median(rawN), rounded(rawN))
+	fmt.Fprintf(b.out, "  variants_per_s_1w median %.1f of %s; unscaled %.1f of %s\n", values["variants_per_s_1w"], rounded(rate1), median(raw1), rounded(raw1))
+	fmt.Fprintf(b.out, "  setup_s           median %.4f of %s; unscaled %.4f of %s\n", values["setup_s"], rounded(setups), median(rawSetups), rounded(rawSetups))
 	fmt.Fprintf(b.out, "  peak_rss_mb       median %.1f of %s at 1 worker; %.1f of %s at %d\n",
 		values["peak_rss_mb"], rounded(rss1), median(rssN), rounded(rssN), b.slots)
 

@@ -2,7 +2,7 @@
 # Builds the benchmark from source and runs it. Run from the repository
 # root, for example:
 #
-#   bash perfbench/run.sh --workload releases --seed 1 --seconds 20 --trace 0
+#   bash perfbench/run.sh --workload releases --seed 1 --seconds 40 --trace 0
 #
 # The Go build cache, the go command's own config and telemetry, temporary
 # files, the binary, checkpoints and span files all go under .bench_build/

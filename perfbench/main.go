@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "perfbench: %v\n", err)
 			return 1
 		}
-		line, _ := json.Marshal(yardstickReading{CPU: cpu})
+		line, _ := json.Marshal(yardstickReading{CPU: cpu}) // one integer field always encodes
 		fmt.Fprintf(stdout, "%s\n", line)
 		return 0
 	}

@@ -33,11 +33,11 @@ import (
 // Determinism: every loop walks the shard's enumeration indices in
 // ascending order (and configurations in the campaign's canonical
 // version-outer, opt-inner order), so the refvm patch sequence, the
-// minicc replay sequence, the shard-local attribution memo, coverage
-// recording, and symptom emission all replay exactly what the
-// interleaved path does — the attribution memo is keyed per (version,
-// opt, symptom class), so the config-outer walk fills each key from the
-// same lowest-index variant the variant-outer walk does. Reports are
+// minicc replay sequence, coverage recording, and symptom emission all
+// replay exactly what the interleaved path does. Attribution is keyed per
+// (version, opt, symptom class) and each variant passes its walk
+// position, so whichever loop order runs, the file's lowest-positioned
+// variant showing a key is the one whose verdict merges first. Reports are
 // byte-identical with batching on or off (pinned by the
 // dispatch-equivalence tests). Clean variants are re-instantiated per
 // phase and per configuration; instantiation is orders of magnitude
@@ -56,7 +56,7 @@ func batchEligible(cfg Config, be *backendState) bool {
 // two-phase batched pipeline, appending to res.variants. The -paranoid
 // cross-checks (sema invariants per bind, tree-walker verdict per run)
 // ride inside phase 1, exactly as they wrap the interleaved path.
-func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, be *backendState, cl *classifier, cov *minicc.Coverage, so *shardObs, res *taskResult) error {
+func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, be *backendState, cov *minicc.Coverage, so *shardObs, res *taskResult) error {
 	n := int(t.toJ - t.fromJ)
 	idx := new(big.Int)
 	stride := big.NewInt(t.plan.stride)
@@ -174,7 +174,7 @@ func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, b
 				return wrap(i, err)
 			}
 			render := func() string { return cc.PrintFile(prog.File) }
-			if err := evalBackends(cfg, prog, holes, be, ref, render, cl, cov, so, &vr); err != nil {
+			if err := evalBackends(cfg, prog, holes, be, ref, render, &t.plan.attr, t.fromJ+int64(i), cov, so, &vr); err != nil {
 				return wrap(i, err)
 			}
 			res.variants = append(res.variants, vr)
@@ -186,6 +186,7 @@ func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, b
 	// variants in ascending order through minicc.Cache.RunBatch, so one
 	// configuration's template trace and VM stay hot across the shard
 	slots := make([]variantResult, n)
+	var recs []symRec
 	clean := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if refs[i].Defined() {
@@ -233,13 +234,13 @@ func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, b
 						t0 = now
 					}
 					slots[i].executions++
-					if s, found := classifyOutcome(cfg, ver, opt, refs[i], ro, prog, cl); found {
+					if s, found := classifyOutcome(cfg, ver, opt, refs[i], ro, prog, &t.plan.attr, t.fromJ+int64(i), so); found {
 						if slots[i].src == "" {
 							// the instance is still bound to variant i while
 							// yield runs, so the test case can render here
 							slots[i].src = cc.PrintFile(prog.File)
 						}
-						cl.recs = append(cl.recs, symRec{slot: i, s: s})
+						recs = append(recs, symRec{slot: i, s: s})
 					}
 					if so != nil {
 						so.classifyNs += time.Since(t0).Nanoseconds()
@@ -261,12 +262,12 @@ func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, b
 	// and the single allocation replaces one slice per symptomatic variant.
 	// The arena is allocated fresh per shard and handed off with the
 	// results, so nothing pooled escapes the task.
-	if len(cl.recs) > 0 {
+	if len(recs) > 0 {
 		counts := make([]int, n)
-		for _, r := range cl.recs {
+		for _, r := range recs {
 			counts[r.slot]++
 		}
-		arena := make([]symptom, len(cl.recs))
+		arena := make([]symptom, len(recs))
 		off := 0
 		for i := range slots {
 			c := counts[i]
@@ -278,11 +279,10 @@ func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, b
 			slots[i].symptoms = arena[off : off : off+c]
 			off += c
 		}
-		for _, r := range cl.recs {
+		for _, r := range recs {
 			s := &slots[r.slot]
 			s.symptoms = append(s.symptoms, r.s)
 		}
-		cl.recs = cl.recs[:0]
 	}
 	res.variants = append(res.variants, slots...)
 	return nil

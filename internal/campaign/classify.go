@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"spe/internal/cc"
@@ -15,8 +16,21 @@ import (
 // interpretation, compilation, execution, root-cause attribution) and emit
 // compact symptom records; the aggregator replays those records in
 // canonical enumeration order, which keeps finding deduplication,
-// attribution memoization, and sample-test-case selection byte-identical to
-// the sequential harness regardless of worker scheduling.
+// attribution, and sample-test-case selection byte-identical to the
+// sequential harness regardless of worker scheduling.
+//
+// Wrong-code attribution runs once per file and key, not once per
+// variant or shard. The aggregator keeps only the first verdict in merge
+// order for each (seed, version, opt, coarse class) key, and merge order
+// within a file is walk order, so only the verdict of the file's
+// lowest-positioned variant showing a key can reach the report. Each
+// file's attrTable records the lowest walk position known to show each
+// key; a variant runs the search only when no lower position is known,
+// and otherwise emits an empty BugID the aggregator never reads. A skip
+// needs a lower-positioned variant of the same file that shows the key,
+// whose shard has a lower seq and therefore merges first — so reports
+// cannot change under any worker count, dispatch order, re-lease, or
+// resume.
 
 // variantStatus is the coarse outcome of preparing one variant.
 type variantStatus int
@@ -48,12 +62,14 @@ type symptom struct {
 	Opt   int
 	Class symptomClass
 	// BugID carries the crash's bug, the compile-hang attribution, or the
-	// shard-local wrong-code attribution (the aggregator keeps only the
-	// first-in-order attribution per memo key, matching the sequential
-	// memoization).
+	// wrong-code attribution. A wrong-code variant searches only when no
+	// lower-positioned variant of its file is known to show the same key
+	// (see attrTable); otherwise BugID stays empty, and the aggregator,
+	// which keeps only the first verdict in merge order per key, never
+	// reads it.
 	BugID  string
 	Sig    string
-	Coarse string // mismatch symptom class for memoization
+	Coarse string // mismatch symptom class: the dedup and attribution key
 }
 
 // variantResult is everything the aggregator needs to replay one tested
@@ -67,13 +83,43 @@ type variantResult struct {
 	symptoms   []symptom
 }
 
-// attrKey keys the shard-local wrong-code attribution memo: a compact
-// comparable struct instead of the historical "ver|opt|coarse" string, so
-// the per-mismatch memo probe allocates and formats nothing.
+// attrKey is the per-file part of the aggregator's attribution key: the
+// aggregator keys verdicts by (seed, version, opt, coarse class), and an
+// attrTable belongs to one seed. A compact comparable struct, so a probe
+// allocates and formats nothing.
 type attrKey struct {
 	ver    string
 	opt    int
 	coarse string
+}
+
+// attrTable is one file's wrong-code attribution table: for each key, the
+// lowest walk position (-1 for the original program, j for the j-th
+// tested variant) known to show it. It lives on the filePlan, so every
+// worker goroutine of a process and every slot of a fabric worker shares
+// it through their common Planner; the mutex is taken once per wrong-code
+// symptom, never per variant.
+type attrTable struct {
+	mu    sync.Mutex
+	first map[attrKey]int64
+}
+
+// claim reports whether the variant at walk position pos must run the
+// attribution search for k: true unless a lower position is already known
+// to show k. A claiming variant records its own position before searching,
+// so shards running at the same time skip. Equal positions claim again, so
+// a re-executed shard reproduces its verdict.
+func (a *attrTable) claim(k attrKey, pos int64) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if p, ok := a.first[k]; ok && p < pos {
+		return false
+	}
+	if a.first == nil {
+		a.first = make(map[attrKey]int64)
+	}
+	a.first[k] = pos
+	return true
 }
 
 // symRec is one symptom observed by the batched shard path, tagged with
@@ -85,28 +131,13 @@ type symRec struct {
 	s    symptom
 }
 
-// classifier carries a shard task's classification state: the attribution
-// memo and the batched path's symptom-record scratch. It is checked out
-// per shard task exactly like the Space and backendState — shard-local,
-// never shared across workers — which keeps attribution memoization
-// deterministic (seed-scoped: a task never spans files).
-type classifier struct {
-	attr map[attrKey]string
-	recs []symRec
-}
-
-func newClassifier() *classifier {
-	return &classifier{attr: make(map[attrKey]string)}
-}
-
 // evalSource runs one variant given as source text: the historical
 // render→parse→analyze front end followed by evalProgram. It serves the
 // original seed programs (whose report text must stay the raw corpus
-// bytes), the ForceRenderPath baseline, and the reduction predicate's
-// candidates. A freshly parsed program has no stable identity to key the
-// IR-template cache on, so only the interpreter machine of be is reused
-// here; compilation runs cold.
-func evalSource(cfg Config, src string, be *backendState, cl *classifier, cov *minicc.Coverage, so *shardObs) variantResult {
+// bytes) and the ForceRenderPath baseline. A freshly parsed program has no
+// stable identity to key the IR-template cache on, so only the interpreter
+// machine of be is reused here; compilation runs cold.
+func evalSource(cfg Config, src string, be *backendState, attr *attrTable, pos int64, cov *minicc.Coverage, so *shardObs) variantResult {
 	file, err := cc.Parse(src)
 	if err != nil {
 		return variantResult{src: src}
@@ -115,7 +146,7 @@ func evalSource(cfg Config, src string, be *backendState, cl *classifier, cov *m
 	if err != nil {
 		return variantResult{src: src}
 	}
-	vr, _ := evalProgram(cfg, prog, nil, be, func() string { return src }, cl, cov, so)
+	vr, _ := evalProgram(cfg, prog, nil, be, func() string { return src }, attr, pos, cov, so)
 	return vr
 }
 
@@ -124,14 +155,14 @@ func evalSource(cfg Config, src string, be *backendState, cl *classifier, cov *m
 // now consuming the typed program directly so the AST-resident hot path
 // skips the front end entirely. render supplies the variant's source on
 // demand; it is invoked at most once, and only when the variant exhibits a
-// symptom (the text becomes a finding's reproduction test case). cl is
-// the shard-local classifier (see classifyOutcome); cov records the
-// compiler instrumentation sites the variant exercises (recording is
-// side-effect-free in minicc, so coverage collection never perturbs the
-// differential verdicts). Attribution recompilations deliberately bypass
-// the recorder: they re-run the same program with bugs deactivated and
-// would only blur the novelty signal.
-func evalProgram(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendState, render func() string, cl *classifier, cov *minicc.Coverage, so *shardObs) (variantResult, error) {
+// symptom (the text becomes a finding's reproduction test case). attr is
+// the file's attribution table and pos the variant's walk position (see
+// classifyOutcome); cov records the compiler instrumentation sites the
+// variant exercises (recording is side-effect-free in minicc, so coverage
+// collection never perturbs the differential verdicts). Attribution
+// recompilations deliberately bypass the recorder: they re-run the same
+// program with bugs deactivated and would only blur the novelty signal.
+func evalProgram(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendState, render func() string, attr *attrTable, pos int64, cov *minicc.Coverage, so *shardObs) (variantResult, error) {
 	vr := variantResult{}
 	// stage timing exists only when telemetry is attached (so != nil): with
 	// telemetry off, no clock is read anywhere on the per-variant path
@@ -151,7 +182,7 @@ func evalProgram(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendSta
 		return vr, nil
 	}
 	vr.status = statusClean
-	if err := evalBackends(cfg, prog, holes, be, ref, render, cl, cov, so, &vr); err != nil {
+	if err := evalBackends(cfg, prog, holes, be, ref, render, attr, pos, cov, so, &vr); err != nil {
 		return vr, err
 	}
 	return vr, nil
@@ -166,7 +197,7 @@ func evalProgram(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendSta
 // results. Stage timing splits compile+execute (backend) from
 // classification and attribution (classify), so /status shows where a
 // configuration's time actually goes.
-func evalBackends(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendState, ref *interp.Result, render func() string, cl *classifier, cov *minicc.Coverage, so *shardObs, vr *variantResult) error {
+func evalBackends(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendState, ref *interp.Result, render func() string, attr *attrTable, pos int64, cov *minicc.Coverage, so *shardObs, vr *variantResult) error {
 	// the compiled binary needs only a small multiple of the reference's
 	// step count; a much larger consumption is already a hang symptom, so
 	// an adaptive budget keeps miscompiled infinite loops cheap to detect
@@ -200,7 +231,7 @@ func evalBackends(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendSt
 				so.backendNs += now.Sub(t0).Nanoseconds()
 				t0 = now
 			}
-			if s, found := classifyOutcome(cfg, ver, opt, ref, ro, prog, cl); found {
+			if s, found := classifyOutcome(cfg, ver, opt, ref, ro, prog, attr, pos, so); found {
 				if vr.src == "" {
 					vr.src = render()
 				}
@@ -284,13 +315,11 @@ func crossCheckOracle(tree, bc *interp.Result) error {
 
 // classifyOutcome turns one compile+run outcome into a symptom record.
 // Wrong-code symptoms are attributed by selectively deactivating seeded
-// bugs, memoized per shard and symptom class: within one shard the first
-// variant exhibiting a class pays for the recompilations and later ones
-// reuse its verdict, exactly as the sequential campaignState memo did
-// within a whole campaign. The aggregator reduces the shard-local memos to
-// the campaign-global one.
+// bugs, once per file and key: the variant at walk position pos searches
+// only when attr knows no lower position showing the same (version, opt,
+// symptom class), since only the lowest one's verdict reaches the report.
 func classifyOutcome(cfg Config, ver string, opt int, ref *interp.Result,
-	ro *minicc.RunOutcome, prog *cc.Program, cl *classifier) (symptom, bool) {
+	ro *minicc.RunOutcome, prog *cc.Program, attr *attrTable, pos int64, so *shardObs) (symptom, bool) {
 
 	out := ro.Compile
 	switch {
@@ -304,15 +333,12 @@ func classifyOutcome(cfg Config, ver string, opt int, ref *interp.Result,
 		return symptom{}, false // unsupported construct; not a bug signal
 	}
 	ex := ro.Exec
-	ok := ex.Ok() == (ref.UB == nil && !ref.Aborted) &&
-		ex.Aborted == ref.Aborted &&
-		(ex.Aborted || (ex.Exit == ref.Exit && ex.Output == ref.Output && ex.Trap == "" && !ex.Timeout))
-	if ok {
+	if matchesOracle(ex, ref) {
 		return symptom{}, false
 	}
 	// symptom classes: the detailed signature is for display; the coarse
-	// class drives deduplication and attribution memoization (the paper
-	// likewise dedupes reports by symptom, not by concrete wrong values)
+	// class drives deduplication and attribution (the paper likewise
+	// dedupes reports by symptom, not by concrete wrong values)
 	coarse := "wrong-exit"
 	sig := fmt.Sprintf("wrong code (exit %d, expected %d)", ex.Exit, ref.Exit)
 	if ex.Exit == ref.Exit {
@@ -327,19 +353,33 @@ func classifyOutcome(cfg Config, ver string, opt int, ref *interp.Result,
 		coarse = "hang"
 		sig = "runtime hang (step budget exhausted)"
 	}
-	memo := attrKey{ver: ver, opt: opt, coarse: coarse}
-	bugID, cached := cl.attr[memo]
-	if !cached {
+	bugID := ""
+	if attr.claim(attrKey{ver: ver, opt: opt, coarse: coarse}, pos) {
 		bugID = attributeWrongCode(prog, ver, opt, ref, cfg)
-		cl.attr[memo] = bugID
+		if so != nil {
+			so.attributions++
+		}
 	}
 	return symptom{Ver: ver, Opt: opt, Class: classMismatch,
 		BugID: bugID, Sig: sig, Coarse: coarse}, true
 }
 
+// matchesOracle reports whether a compiled run agrees with a defined
+// reference verdict (no UB, no limit): an aborting reference must abort,
+// output aside; any other must exit cleanly with the same status and
+// output. It is the one agreement check shared by classification,
+// attribution, and the reducer's interestingness predicate.
+func matchesOracle(ex *minicc.ExecResult, ref *interp.Result) bool {
+	if ref.Aborted {
+		return ex.Aborted
+	}
+	return ex.Ok() && ex.Exit == ref.Exit && ex.Output == ref.Output
+}
+
 // attributeWrongCode finds which single seeded bug explains a wrong-code
 // symptom by deactivating active bugs one at a time — a seeded-oracle
-// analogue of the paper's root-cause triage.
+// analogue of the paper's root-cause triage. Each try is a cold
+// compile+run, which is why classifyOutcome runs it once per file and key.
 func attributeWrongCode(prog *cc.Program, ver string, opt int, ref *interp.Result, cfg Config) string {
 	vi := minicc.VersionIndex(ver)
 	if vi < 0 {
@@ -353,8 +393,7 @@ func attributeWrongCode(prog *cc.Program, ver string, opt int, ref *interp.Resul
 		if !ro.Compile.Ok() {
 			continue
 		}
-		ex := ro.Exec
-		if ex.Ok() && ex.Exit == ref.Exit && ex.Output == ref.Output && ex.Aborted == ref.Aborted {
+		if matchesOracle(ro.Exec, ref) {
 			for _, b := range minicc.Registry() {
 				if b.Hook == hook {
 					return b.ID

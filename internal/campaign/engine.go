@@ -281,11 +281,9 @@ func runTask(ctx context.Context, cfg Config, t *task) *taskResult {
 			so.refvmBase = be.ref.Stats()
 		}
 	}
-	// shard-local classifier: attribution memo plus the batched path's
-	// symptom scratch (seed-scoped: a task never spans files)
-	cl := newClassifier()
+	// the original program sits at walk position -1, before every variant
 	if t.includeOriginal {
-		res.variants = append(res.variants, evalSource(cfg, t.plan.src, be, cl, cov, so))
+		res.variants = append(res.variants, evalSource(cfg, t.plan.src, be, &t.plan.attr, -1, cov, so))
 	}
 	if t.toJ > t.fromJ {
 		space := t.plan.pool.Get()
@@ -294,7 +292,7 @@ func runTask(ctx context.Context, cfg Config, t *task) *taskResult {
 			// batched shard path: all oracle verdicts first on one
 			// checked-out VM, then the compiler configurations over the
 			// clean variants — same ascending order, byte-identical report
-			if err := runShardBatch(ctx, cfg, t, space, be, cl, cov, so, res); err != nil {
+			if err := runShardBatch(ctx, cfg, t, space, be, cov, so, res); err != nil {
 				res.err = err
 				return res
 			}
@@ -308,7 +306,7 @@ func runTask(ctx context.Context, cfg Config, t *task) *taskResult {
 				}
 				idx.SetInt64(j)
 				idx.Mul(idx, stride)
-				vr, err := runVariant(cfg, space, be, idx, cl, cov, so)
+				vr, err := runVariant(cfg, space, be, idx, &t.plan.attr, j, cov, so)
 				if err != nil {
 					res.err = fmt.Errorf("campaign: corpus[%d] variant %d: %w", t.plan.seedIdx, j, err)
 					return res
@@ -334,9 +332,9 @@ func runTask(ctx context.Context, cfg Config, t *task) *taskResult {
 	return res
 }
 
-// runVariant evaluates the variant at one enumeration index through the
-// configured pipeline flavor.
-func runVariant(cfg Config, space *spe.Space, be *backendState, idx *big.Int, cl *classifier, cov *minicc.Coverage, so *shardObs) (variantResult, error) {
+// runVariant evaluates the variant at one enumeration index, walk
+// position pos, through the configured pipeline flavor.
+func runVariant(cfg Config, space *spe.Space, be *backendState, idx *big.Int, attr *attrTable, pos int64, cov *minicc.Coverage, so *shardObs) (variantResult, error) {
 	var t0 time.Time
 	if so != nil {
 		t0 = time.Now()
@@ -349,7 +347,7 @@ func runVariant(cfg Config, space *spe.Space, be *backendState, idx *big.Int, cl
 		if err != nil {
 			return variantResult{}, err
 		}
-		return evalSource(cfg, src, be, cl, cov, so), nil
+		return evalSource(cfg, src, be, attr, pos, cov, so), nil
 	}
 	in, release, err := space.AcquireAt(idx)
 	if so != nil {
@@ -376,7 +374,7 @@ func runVariant(cfg Config, space *spe.Space, be *backendState, idx *big.Int, cl
 		}
 		return cc.PrintFile(prog.File)
 	}
-	return evalProgram(cfg, prog, in.HoleIdents(), be, render, cl, cov, so)
+	return evalProgram(cfg, prog, in.HoleIdents(), be, render, attr, pos, cov, so)
 }
 
 // crossCheckVariant is the -paranoid equivalence assertion: the typed
@@ -425,8 +423,9 @@ type aggState struct {
 	stats     Stats
 	byKey     map[string]*Finding
 	// attribution is the campaign-global (seed, version, opt, symptom
-	// class) → bug memo, reduced from the shard-local memos by keeping the
-	// first value in merge order.
+	// class) → bug memo: the first verdict in merge order per key, which
+	// comes from the file's lowest-positioned variant showing the key (the
+	// only one guaranteed to have searched; see attrTable).
 	attribution map[string]string
 	// steer is the scheduler steering (coverage frontier, cost model,
 	// region scores) restored from a checkpoint; nil on a fresh campaign.
@@ -511,8 +510,8 @@ func (st *aggState) applySymptom(seedIdx int, src string, s symptom) {
 		record(minicc.BugPerformance, s.BugID, s.Sig)
 	case classMismatch:
 		// attribute by the campaign-global memo; the first record in merge
-		// order per (seed, version, opt, class) seeds it with its
-		// shard-local verdict
+		// order per (seed, version, opt, class) seeds it with its verdict,
+		// and later records' BugIDs are never read
 		memoKey := fmt.Sprintf("%d|%s|%d|%s", seedIdx, s.Ver, s.Opt, s.Coarse)
 		bugID, cached := st.attribution[memoKey]
 		if !cached {

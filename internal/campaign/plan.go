@@ -96,6 +96,9 @@ type filePlan struct {
 	// backends pools the per-worker execution backends the same way (nil
 	// when Config.NoBackendReuse disables reuse).
 	backends *backendPool
+	// attr is the file's wrong-code attribution table, shared by every
+	// shard of the file that runs in this process.
+	attr attrTable
 	// regionStarts are the sorted tested-space start positions of the
 	// file's scheduling regions (spe.Space.RegionCuts): contiguous
 	// hole-group ranges the region scheduler scores independently. Nil or

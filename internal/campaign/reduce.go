@@ -67,11 +67,7 @@ func findingPredicate(fd *Finding, ver string, opt int, cfg Config) reduce.Predi
 				return false // a reduction must stay UB-free to count
 			}
 			ro := comp.Run(prog, minicc.ExecConfig{MaxSteps: ref.Steps*20 + 50_000})
-			if !ro.Compile.Ok() {
-				return false
-			}
-			ex := ro.Exec
-			return !ex.Ok() || ex.Exit != ref.Exit || ex.Output != ref.Output || ex.Aborted != ref.Aborted
+			return ro.Compile.Ok() && !matchesOracle(ro.Exec, ref)
 		}
 	}
 }

@@ -19,11 +19,14 @@ import (
 // serializable values — so any transport (internal/fabric's HTTP service,
 // a loopback in tests) can carry them without touching determinism: the
 // shard task sequence is a pure function of Config, every worker derives
-// the identical plan from the same Config, a shard's result is a pure
-// function of its TaskSpec, and the merge consumes results strictly in
-// seq order. Crashed, duplicated, reordered, or re-executed shards
-// therefore cannot change the Report — re-running a task reproduces the
-// same bytes, and Deliver accepts each seq exactly once.
+// the identical plan from the same Config, every part of a shard's result
+// the merge reads is a pure function of its TaskSpec, and the merge
+// consumes results strictly in seq order. Crashed, duplicated, reordered,
+// or re-executed shards therefore cannot change the Report, and Deliver
+// accepts each seq exactly once. A re-executed shard may differ only in
+// the BugID of a wrong-code symptom the merge discards: the Planner's
+// per-file attribution table lets a variant skip the search once a
+// lower-positioned variant of its file has claimed the key (attrTable).
 
 // TaskSpec is the serializable identity of one shard task: enough for a
 // remote worker to locate the task in its own (identically derived) plan
@@ -344,9 +347,9 @@ func (e *RemoteEngine) Requeue(seq int) {
 // Deliver folds one shard result into the campaign. It returns
 // accepted=false when the seq was already delivered (a duplicate from a
 // zombie worker or a retried transport message) — duplicates are
-// harmless, the first copy already merged and re-execution reproduces the
-// same bytes. A non-nil error is a campaign failure (result/plan
-// mismatch or a checkpoint write error).
+// harmless, the first copy already merged and re-execution reproduces
+// every byte the merge reads. A non-nil error is a campaign failure
+// (result/plan mismatch or a checkpoint write error).
 func (e *RemoteEngine) Deliver(res *ShardResult) (accepted bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

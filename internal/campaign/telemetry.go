@@ -77,6 +77,7 @@ type Telemetry struct {
 	checkpointWriteMs *obs.Histogram
 	checkpointsTotal  *obs.Counter
 	paranoidChecks    *obs.Counter
+	attributions      *obs.Counter
 
 	findingsCrash      *obs.Counter
 	findingsWrong      *obs.Counter
@@ -157,6 +158,7 @@ func NewTelemetry() *Telemetry {
 		checkpointWriteMs: reg.Histogram("spe_checkpoint_write_ms", "Checkpoint write latency, milliseconds.", obs.ExpBuckets(0.25, 2, 12)),
 		checkpointsTotal:  reg.Counter("spe_checkpoints_total", "Checkpoint files written."),
 		paranoidChecks:    reg.Counter("spe_paranoid_checks_total", "Per-variant -paranoid cross-checks performed."),
+		attributions:      reg.Counter("spe_attributions_total", "Wrong-code attribution searches run (bug-by-bug cold recompilations of one variant)."),
 
 		findingsCrash:      reg.Counter("spe_findings_total", "Deduplicated findings by class.", obs.L("class", "crash")),
 		findingsWrong:      reg.Counter("spe_findings_total", "Deduplicated findings by class.", obs.L("class", "wrong-code")),
@@ -327,6 +329,7 @@ func (t *Telemetry) observeMerge(r *taskResult) {
 		t.stageBackendNs.Add(so.backendNs)
 		t.stageClassifyNs.Add(so.classifyNs)
 		t.paranoidChecks.Add(so.paranoidChecks)
+		t.attributions.Add(so.attributions)
 		t.miniccTemplateBuilds.Add(so.minicc.TemplateBuilds)
 		t.miniccReplays.Add(so.minicc.Replays)
 		t.miniccFreshLowerings.Add(so.minicc.FreshLowerings)
@@ -597,7 +600,7 @@ func (t *Telemetry) StartProgressTicker(w io.Writer, every time.Duration) (stop 
 // all timing — the hot path then contains no time.Now calls at all.
 type shardObs struct {
 	instNs, oracleNs, backendNs, classifyNs int64
-	paranoidChecks                          int64
+	paranoidChecks, attributions            int64
 	miniccBase                              minicc.CacheStats
 	refvmBase                               refvm.CacheStats
 	minicc                                  minicc.CacheStats

@@ -345,7 +345,12 @@ func licm(f *Func, p *passCtx) {
 		hoisted := true
 		for hoisted {
 			hoisted = false
-			for b := range lp.body {
+			// f.Blocks order, not map order: the preheader's instruction
+			// order (and which hoists a round admits) follows this walk
+			for _, b := range f.Blocks {
+				if !lp.body[b] {
+					continue
+				}
 				kept := b.Instrs[:0]
 				for i := range b.Instrs {
 					in := b.Instrs[i]

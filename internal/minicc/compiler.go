@@ -122,38 +122,24 @@ func (c *Compiler) runPasses(irp *Program, bugs *BugSet, cov *Coverage, budget i
 	}
 }
 
+// pipelines lists the passes of each -O level in run order; -O0 runs none
+// and every level above 3 runs -O3's.
+var pipelines = [4][]func(*Func, *passCtx){
+	1: {constFold, copyProp, dce, simplifyCFG},
+	2: {constFold, copyProp, constProp, cse, aliasForward,
+		constFold, copyProp, dce, simplifyCFG},
+	3: {constFold, copyProp, constProp, cse, aliasForward, licm,
+		constFold, copyProp, constProp, dce, simplifyCFG, dce},
+}
+
+// pipeline returns the pass list of an optimization level.
+func pipeline(opt int) []func(*Func, *passCtx) {
+	return pipelines[max(0, min(opt, 3))]
+}
+
 func (c *Compiler) optimizeFunc(f *Func, p *passCtx) {
-	switch {
-	case c.Opt <= 0:
-		// -O0: no optimization
-	case c.Opt == 1:
-		constFold(f, p)
-		copyProp(f, p)
-		dce(f, p)
-		simplifyCFG(f, p)
-	case c.Opt == 2:
-		constFold(f, p)
-		copyProp(f, p)
-		constProp(f, p)
-		cse(f, p)
-		aliasForward(f, p)
-		constFold(f, p)
-		copyProp(f, p)
-		dce(f, p)
-		simplifyCFG(f, p)
-	default: // -O3
-		constFold(f, p)
-		copyProp(f, p)
-		constProp(f, p)
-		cse(f, p)
-		aliasForward(f, p)
-		licm(f, p)
-		constFold(f, p)
-		copyProp(f, p)
-		constProp(f, p)
-		dce(f, p)
-		simplifyCFG(f, p)
-		dce(f, p)
+	for _, pass := range pipeline(c.Opt) {
+		pass(f, p)
 	}
 }
 

@@ -92,30 +92,31 @@ func (c *Compiler) Compile(src *cc.Program) (out *Output) {
 		return out
 	}
 	out.Program = irp
-	c.runPasses(irp, bugs, cov, budget)
+	c.runPasses(irp, &passCtx{cov: cov, bugs: bugs, budget: budget})
 	return out
 }
 
 // runPasses drives the optimization pipeline over a lowered program — the
 // post-frontend half of Compile, shared with the template-cached RunCached
 // path so both flavors optimize (and trigger seeded middle-end/backend
-// bugs) identically. It can panic with *CrashError or *TimeoutError; the
-// callers' recover turns those into Output fields.
-func (c *Compiler) runPasses(irp *Program, bugs *BugSet, cov *Coverage, budget int64) {
-	p := &passCtx{cov: cov, bugs: bugs, budget: budget}
+// bugs) identically. p carries the recorder, bug set and budget, and its
+// scratch tables may be warm from earlier compilations. It can panic with
+// *CrashError or *TimeoutError; the callers' recover turns those into
+// Output fields.
+func (c *Compiler) runPasses(irp *Program, p *passCtx) {
 	// Deterministic function order: a seeded crash or budget timeout aborts
 	// the pipeline mid-iteration, so the set of functions optimized before
 	// the abort (and their coverage hits) must not depend on map order.
-	names := make([]string, 0, len(irp.Funcs))
+	p.names = p.names[:0]
 	for name := range irp.Funcs {
-		names = append(names, name)
+		p.names = append(p.names, name)
 	}
-	sort.Strings(names)
-	for _, name := range names {
+	sort.Strings(p.names)
+	for _, name := range p.names {
 		f := irp.Funcs[name]
 		c.optimizeFunc(f, p)
 		if c.Opt >= 1 {
-			bugs.MaybeCrash(cov, "backend-block-limit", func() bool {
+			p.bugs.MaybeCrash(p.cov, "backend-block-limit", func() bool {
 				return len(f.Blocks) > 24
 			})
 		}

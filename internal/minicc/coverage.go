@@ -11,12 +11,16 @@ import (
 // component group (the prefix before the first dot of a site name) and a
 // "line" is an individual site.
 type Coverage struct {
-	counts map[string]int
+	// counts is indexed by siteID.
+	counts []int
 	// lenient recorders collect unregistered site names instead of
 	// panicking; see NewLenientCoverage.
 	lenient bool
 	unknown map[string]int
 }
+
+// siteID indexes allSites.
+type siteID int32
 
 // opNames maps operator spellings to site-name components.
 var opNames = map[string]string{
@@ -24,6 +28,49 @@ var opNames = map[string]string{
 	"&": "and", "|": "or", "^": "xor", "<<": "shl", ">>": "shr",
 	"==": "eq", "!=": "ne", "<": "lt", ">": "gt", "<=": "le", ">=": "ge",
 	"!": "not", "~": "bnot",
+}
+
+// binOps lists the operators of the operator-parameterized site families,
+// in binOpIndex order.
+var binOps = [...]string{"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", "==", "!=", "<", ">", "<=", ">="}
+
+// binOpIndex returns op's position in binOps, or -1.
+func binOpIndex(op string) int {
+	switch op {
+	case "+":
+		return 0
+	case "-":
+		return 1
+	case "*":
+		return 2
+	case "/":
+		return 3
+	case "%":
+		return 4
+	case "&":
+		return 5
+	case "|":
+		return 6
+	case "^":
+		return 7
+	case "<<":
+		return 8
+	case ">>":
+		return 9
+	case "==":
+		return 10
+	case "!=":
+		return 11
+	case "<":
+		return 12
+	case ">":
+		return 13
+	case "<=":
+		return 14
+	case ">=":
+		return 15
+	}
+	return -1
 }
 
 // allSites is the static registry of instrumentation sites. Hit panics on
@@ -61,7 +108,6 @@ func buildSites() []string {
 		"vm.entry", "vm.call", "vm.load", "vm.store", "vm.bin", "vm.branch",
 		"vm.printf",
 	}
-	binOps := []string{"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", "==", "!=", "<", ">", "<=", ">="}
 	for _, op := range binOps {
 		n := opNames[op]
 		sites = append(sites,
@@ -80,20 +126,91 @@ func buildSites() []string {
 	return sites
 }
 
-var allSiteSet = func() map[string]bool {
-	m := make(map[string]bool, len(allSites))
-	for _, s := range allSites {
-		m[s] = true
+// siteIdx maps each registered site name to its siteID.
+var siteIdx = func() map[string]siteID {
+	m := make(map[string]siteID, len(allSites))
+	for i, s := range allSites {
+		m[s] = siteID(i)
 	}
 	return m
 }()
+
+// siteOrder lists every siteID in site-name order, the order of Snapshot.
+var siteOrder = func() []siteID {
+	out := make([]siteID, len(allSites))
+	for i := range out {
+		out[i] = siteID(i)
+	}
+	sort.Slice(out, func(i, j int) bool { return allSites[out[i]] < allSites[out[j]] })
+	return out
+}()
+
+// site returns the ID of a registered site; the hot instrumentation points
+// below resolve theirs once, at package initialization.
+func site(name string) siteID {
+	id, ok := siteIdx[name]
+	if !ok {
+		panic("minicc: unregistered coverage site " + name)
+	}
+	return id
+}
+
+// opFamily holds the siteIDs of one operator-parameterized family, indexed
+// by binOpIndex.
+type opFamily [len(binOps)]siteID
+
+func family(name string) *opFamily {
+	var f opFamily
+	for i, op := range binOps {
+		f[i] = site(name + "." + opNames[op])
+	}
+	return &f
+}
+
+// Sites hit once per executed instruction, per rewritten instruction, or
+// per block.
+var (
+	siteConstFoldBin       = site("constfold.bin")
+	siteConstFoldUn        = site("constfold.un")
+	siteConstFoldConv      = site("constfold.conv")
+	siteConstFoldBranch    = site("constfold.branch")
+	siteConstFoldTaken     = site("constfold.branch.taken")
+	siteConstFoldDropped   = site("constfold.branch.dropped")
+	siteConstFoldZero      = site("constfold.result.zero")
+	siteConstFoldNegative  = site("constfold.result.negative")
+	siteConstFoldNonzero   = site("constfold.result.nonzero")
+	siteConstPropMeet      = site("constprop.meet")
+	siteConstPropReplace   = site("constprop.replace")
+	siteConstPropBranch    = site("constprop.branch")
+	siteCopyPropReplace    = site("copyprop.replace")
+	siteCSEHit             = site("cse.hit")
+	siteCSECommute         = site("cse.commute")
+	siteDCERemove          = site("dce.remove")
+	siteDCEDeadStore       = site("dce.deadstore")
+	siteSimplifyCFGThread  = site("simplifycfg.thread")
+	siteSimplifyCFGMerge   = site("simplifycfg.merge")
+	siteLICMLoop           = site("licm.loop")
+	siteLICMHoist          = site("licm.hoist")
+	siteAliasForward       = site("alias.forward")
+	siteAliasClobber       = site("alias.clobber")
+	siteVMCall             = site("vm.call")
+	siteVMLoad             = site("vm.load")
+	siteVMStore            = site("vm.store")
+	siteVMBin              = site("vm.bin")
+	siteVMBranch           = site("vm.branch")
+	familyConstFoldBin     = family("constfold.bin")
+	familyConstPropReplace = family("constprop.replace")
+	familyCSEHit           = family("cse.hit")
+	familyLICMHoist        = family("licm.hoist")
+	familyVMBin            = family("vm.bin")
+)
 
 // NewCoverage returns an empty coverage recorder. Hit panics on
 // unregistered site names, which keeps the static registry in sync with the
 // instrumented code; long-running callers that must not crash on registry
 // drift should use NewLenientCoverage instead.
 func NewCoverage() *Coverage {
-	return &Coverage{counts: make(map[string]int), unknown: make(map[string]int)}
+	return &Coverage{counts: make([]int, len(allSites)), unknown: make(map[string]int)}
 }
 
 // NewLenientCoverage returns a recorder for long-running campaign workers:
@@ -101,7 +218,7 @@ func NewCoverage() *Coverage {
 // instead of panicking, so registry drift surfaces as a campaign error
 // rather than a crashed worker process.
 func NewLenientCoverage() *Coverage {
-	return &Coverage{counts: make(map[string]int), lenient: true, unknown: make(map[string]int)}
+	return &Coverage{counts: make([]int, len(allSites)), lenient: true, unknown: make(map[string]int)}
 }
 
 // Hit records one execution of a site. A nil receiver is a no-op recorder.
@@ -109,14 +226,33 @@ func (c *Coverage) Hit(site string) {
 	if c == nil {
 		return
 	}
-	if !allSiteSet[site] {
+	id, ok := siteIdx[site]
+	if !ok {
 		if c.lenient {
 			c.unknown[site]++
 			return
 		}
 		panic("minicc: unregistered coverage site " + site)
 	}
-	c.counts[site]++
+	c.counts[id]++
+}
+
+// hit records one execution of a registered site by ID.
+func (c *Coverage) hit(id siteID) {
+	if c != nil {
+		c.counts[id]++
+	}
+}
+
+// hitOp records a hit on the member of an operator-parameterized family
+// named by op; operators outside the family are ignored.
+func (c *Coverage) hitOp(f *opFamily, op string) {
+	if c == nil {
+		return
+	}
+	if i := binOpIndex(op); i >= 0 {
+		c.counts[f[i]]++
+	}
 }
 
 // Record is the error-returning form of Hit for campaign-facing callers:
@@ -126,11 +262,12 @@ func (c *Coverage) Record(site string) error {
 	if c == nil {
 		return nil
 	}
-	if !allSiteSet[site] {
+	id, ok := siteIdx[site]
+	if !ok {
 		c.unknown[site]++
 		return fmt.Errorf("minicc: unregistered coverage site %q", site)
 	}
-	c.counts[site]++
+	c.counts[id]++
 	return nil
 }
 
@@ -148,29 +285,13 @@ func (c *Coverage) Err() error {
 	return fmt.Errorf("minicc: %d unregistered coverage site(s) hit: %v", len(names), names)
 }
 
-// HitOp records a hit on an operator-parameterized site family.
-func (c *Coverage) HitOp(family, op string) {
-	if c == nil {
-		return
-	}
-	n, ok := opNames[op]
-	if !ok {
-		return
-	}
-	site := family + "." + n
-	if !allSiteSet[site] {
-		return
-	}
-	c.counts[site]++
-}
-
 // Merge accumulates another coverage record into c.
 func (c *Coverage) Merge(other *Coverage) {
 	if c == nil || other == nil {
 		return
 	}
-	for k, v := range other.counts {
-		c.counts[k] += v
+	for id, n := range other.counts {
+		c.counts[id] += n
 	}
 }
 
@@ -184,13 +305,18 @@ func (c *Coverage) Snapshot() Snapshot {
 	if c == nil {
 		return nil
 	}
-	out := make(Snapshot, 0, len(c.counts))
-	for s, n := range c.counts {
-		if n > 0 {
-			out = append(out, s)
+	n := 0
+	for _, k := range c.counts {
+		if k > 0 {
+			n++
 		}
 	}
-	sort.Strings(out)
+	out := make(Snapshot, 0, n)
+	for _, id := range siteOrder {
+		if c.counts[id] > 0 {
+			out = append(out, allSites[id])
+		}
+	}
 	return out
 }
 
@@ -264,10 +390,11 @@ func (s Snapshot) AddTo(frontier map[string]bool) int {
 
 // SiteCount returns the hit count of a site.
 func (c *Coverage) SiteCount(site string) int {
-	if c == nil {
+	id, ok := siteIdx[site]
+	if c == nil || !ok {
 		return 0
 	}
-	return c.counts[site]
+	return c.counts[id]
 }
 
 // LineCoverage is the fraction of registered sites hit at least once.
@@ -276,8 +403,8 @@ func (c *Coverage) LineCoverage() float64 {
 		return 0
 	}
 	hit := 0
-	for _, s := range allSites {
-		if c.counts[s] > 0 {
+	for _, n := range c.counts {
+		if n > 0 {
 			hit++
 		}
 	}
@@ -289,10 +416,10 @@ func (c *Coverage) LineCoverage() float64 {
 func (c *Coverage) FunctionCoverage() float64 {
 	groups := make(map[string]bool)
 	hit := make(map[string]bool)
-	for _, s := range allSites {
+	for id, s := range allSites {
 		g := groupOf(s)
 		groups[g] = true
-		if c != nil && c.counts[s] > 0 {
+		if c != nil && c.counts[id] > 0 {
 			hit[g] = true
 		}
 	}

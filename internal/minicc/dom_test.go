@@ -28,22 +28,41 @@ func mkCFG(t *testing.T, succs [][]int) *Func {
 	return f
 }
 
+// analyzeCFG runs every CFG analysis on f.
+func analyzeCFG(f *Func) *cfgInfo {
+	c := &cfgInfo{}
+	c.analyze(f)
+	c.dominators()
+	return c
+}
+
+// bodySize counts a loop's body blocks.
+func bodySize(f *Func, lp loop) int {
+	n := 0
+	for _, b := range f.Blocks {
+		if lp.contains(b) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestDominatorsDiamond(t *testing.T) {
 	// 0 -> 1 | 2; 1 -> 3; 2 -> 3; 3 ret
 	f := mkCFG(t, [][]int{{1, 2}, {3}, {3}, {}})
-	dom := dominators(f)
+	c := analyzeCFG(f)
 	b := f.Blocks
-	if !dom[b[3]][b[0]] {
+	if !c.dominates(b[0], b[3]) {
 		t.Error("entry must dominate the join")
 	}
-	if dom[b[3]][b[1]] || dom[b[3]][b[2]] {
+	if c.dominates(b[1], b[3]) || c.dominates(b[2], b[3]) {
 		t.Error("neither branch arm dominates the join")
 	}
-	if !dom[b[1]][b[0]] || !dom[b[2]][b[0]] {
+	if !c.dominates(b[0], b[1]) || !c.dominates(b[0], b[2]) {
 		t.Error("entry must dominate both arms")
 	}
 	for _, blk := range b {
-		if !dom[blk][blk] {
+		if !c.dominates(blk, blk) {
 			t.Errorf("b%d must dominate itself", blk.ID)
 		}
 	}
@@ -52,15 +71,15 @@ func TestDominatorsDiamond(t *testing.T) {
 func TestDominatorsLoop(t *testing.T) {
 	// 0 -> 1 (header); 1 -> 2 | 3; 2 -> 1 (latch); 3 ret
 	f := mkCFG(t, [][]int{{1}, {2, 3}, {1}, {}})
-	dom := dominators(f)
+	c := analyzeCFG(f)
 	b := f.Blocks
-	if !dom[b[2]][b[1]] {
+	if !c.dominates(b[1], b[2]) {
 		t.Error("header must dominate the latch")
 	}
-	if !dom[b[3]][b[1]] {
+	if !c.dominates(b[1], b[3]) {
 		t.Error("header must dominate the exit")
 	}
-	loops := naturalLoops(f)
+	loops := c.naturalLoops()
 	if len(loops) != 1 {
 		t.Fatalf("loops = %d, want 1", len(loops))
 	}
@@ -68,8 +87,8 @@ func TestDominatorsLoop(t *testing.T) {
 	if lp.header != b[1] {
 		t.Errorf("loop header = b%d, want b1", lp.header.ID)
 	}
-	if !lp.body[b[1]] || !lp.body[b[2]] || lp.body[b[3]] || lp.body[b[0]] {
-		t.Errorf("loop body incorrect: %v", lp.body)
+	if !lp.contains(b[1]) || !lp.contains(b[2]) || lp.contains(b[3]) || lp.contains(b[0]) {
+		t.Errorf("loop body incorrect: %b", lp.body)
 	}
 }
 
@@ -77,28 +96,28 @@ func TestNaturalLoopsNested(t *testing.T) {
 	// 0 -> 1; 1 -> 2 | 5; 2 -> 3 | 4; 3 -> 2 (inner latch); 4 -> 1 (outer
 	// latch); 5 ret
 	f := mkCFG(t, [][]int{{1}, {2, 5}, {3, 4}, {2}, {1}, {}})
-	loops := naturalLoops(f)
+	loops := analyzeCFG(f).naturalLoops()
 	if len(loops) != 2 {
 		t.Fatalf("loops = %d, want 2", len(loops))
 	}
 	var inner, outer *loop
-	for _, lp := range loops {
+	for i, lp := range loops {
 		if lp.header == f.Blocks[2] {
-			inner = lp
+			inner = &loops[i]
 		}
 		if lp.header == f.Blocks[1] {
-			outer = lp
+			outer = &loops[i]
 		}
 	}
 	if inner == nil || outer == nil {
 		t.Fatal("missing inner or outer loop")
 	}
-	if len(inner.body) != 2 {
-		t.Errorf("inner body = %d blocks, want 2", len(inner.body))
+	if n := bodySize(f, *inner); n != 2 {
+		t.Errorf("inner body = %d blocks, want 2", n)
 	}
 	// the outer loop contains the inner loop's blocks
-	for blk := range inner.body {
-		if !outer.body[blk] {
+	for _, blk := range f.Blocks {
+		if inner.contains(blk) && !outer.contains(blk) {
 			t.Errorf("outer loop missing inner block b%d", blk.ID)
 		}
 	}
@@ -106,13 +125,12 @@ func TestNaturalLoopsNested(t *testing.T) {
 
 func TestReachableSkipsOrphans(t *testing.T) {
 	f := mkCFG(t, [][]int{{1}, {}, {1}}) // block 2 unreachable
-	r := reachable(f)
-	if len(r) != 2 {
-		t.Errorf("reachable = %d blocks, want 2", len(r))
+	c := analyzeCFG(f)
+	if len(c.order) != 2 {
+		t.Errorf("reachable = %d blocks, want 2", len(c.order))
 	}
-	pr := preds(f)
-	if len(pr[f.Blocks[1]]) != 1 {
-		t.Errorf("preds of b1 = %d, want 1 (orphan must not count)", len(pr[f.Blocks[1]]))
+	if n := len(c.preds(f.Blocks[1])); n != 1 {
+		t.Errorf("preds of b1 = %d, want 1 (orphan must not count)", n)
 	}
 }
 
@@ -120,7 +138,7 @@ func TestIrreducibleGraphNoNaturalLoop(t *testing.T) {
 	// 0 -> 1 | 2; 1 -> 2; 2 -> 1; neither 1 nor 2 dominates the other, so
 	// the cycle is irreducible: no back edge, no natural loop
 	f := mkCFG(t, [][]int{{1, 2}, {2}, {1}})
-	if loops := naturalLoops(f); len(loops) != 0 {
+	if loops := analyzeCFG(f).naturalLoops(); len(loops) != 0 {
 		t.Errorf("irreducible cycle reported %d natural loops", len(loops))
 	}
 }

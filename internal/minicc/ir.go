@@ -186,15 +186,15 @@ func (f *Func) NewBlock(label string) *Block {
 	return b
 }
 
-// Succs returns a block's successor blocks.
-func (b *Block) Succs() []*Block {
+// succs returns a block's successor blocks as ss[:n], without allocating.
+func (b *Block) succs() (ss [2]*Block, n int) {
 	switch b.Term.Kind {
 	case TermJmp:
-		return []*Block{b.Term.To}
+		return [2]*Block{b.Term.To}, 1
 	case TermBr:
-		return []*Block{b.Term.To, b.Term.Else}
+		return [2]*Block{b.Term.To, b.Term.Else}, 2
 	default:
-		return nil
+		return ss, 0
 	}
 }
 
@@ -278,34 +278,11 @@ func typeName(t cc.Type) string {
 
 // pure reports whether an instruction has no side effects and its result
 // can be recomputed (eligible for CSE, DCE, and LICM).
-func (in Instr) pure() bool {
+func (in *Instr) pure() bool {
 	switch in.Op {
 	case OpConst, OpBin, OpUn, OpConv, OpCopy, OpAddrVar, OpAddrIdx:
 		return true
 	default:
 		return false
 	}
-}
-
-// uses returns the registers read by the instruction.
-func (in Instr) uses() []Reg {
-	var out []Reg
-	add := func(r Reg) {
-		if r != NoReg {
-			out = append(out, r)
-		}
-	}
-	switch in.Op {
-	case OpBin, OpAddrIdx:
-		add(in.A)
-		add(in.B)
-	case OpUn, OpConv, OpCopy, OpLoad:
-		add(in.A)
-	case OpStore:
-		add(in.A)
-		add(in.B)
-	case OpCall:
-		out = append(out, in.Args...)
-	}
-	return out
 }

@@ -106,7 +106,11 @@ func lowerProgram(prog *cc.Program, bugs *BugSet, cov *Coverage, tr *lowerTrace)
 func (l *lowerer) hit(site string) {
 	l.cov.Hit(site)
 	if l.tr != nil {
-		l.tr.events = append(l.tr.events, traceEvent{site: site})
+		id, ok := siteIdx[site]
+		if !ok {
+			id = -1
+		}
+		l.tr.events = append(l.tr.events, traceEvent{site: site, id: id})
 	}
 }
 

@@ -171,19 +171,19 @@ func TestDominatorsAndLoops(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := irp.Funcs["main"]
-	dom := dominators(f)
+	c := analyzeCFG(f)
 	// the entry dominates everything
-	for _, b := range reachable(f) {
-		if !dom[b][f.Entry] {
+	for _, b := range c.order {
+		if !c.dominates(f.Entry, b) {
 			t.Errorf("entry does not dominate b%d", b.ID)
 		}
 	}
-	loops := naturalLoops(f)
+	loops := c.naturalLoops()
 	if len(loops) != 1 {
 		t.Fatalf("loops = %d, want 1", len(loops))
 	}
-	if len(loops[0].body) < 2 {
-		t.Errorf("loop body too small: %d", len(loops[0].body))
+	if n := bodySize(f, loops[0]); n < 2 {
+		t.Errorf("loop body too small: %d", n)
 	}
 }
 

@@ -11,15 +11,27 @@ package minicc
 func dce(f *Func, p *passCtx) {
 	p.cov.Hit("dce.entry")
 	deadStoreBug := p.bugs.Active("dce-dead-store-call")
+	width := f.NumRegs + 1
 
 	// mark: registers used anywhere (instruction operands + terminators)
+	p.used = grow(p.used, width)
+	used := p.used
 	for changed := true; changed; {
 		changed = false
-		used := make(map[Reg]bool)
+		clear(used)
 		for _, b := range f.Blocks {
 			for i := range b.Instrs {
-				for _, u := range b.Instrs[i].uses() {
-					used[u] = true
+				in := &b.Instrs[i]
+				switch in.Op {
+				case OpBin, OpAddrIdx, OpStore:
+					used[in.A] = true
+					used[in.B] = true
+				case OpUn, OpConv, OpCopy, OpLoad:
+					used[in.A] = true
+				case OpCall:
+					for _, r := range in.Args {
+						used[r] = true
+					}
 				}
 			}
 			if b.Term.Kind == TermBr {
@@ -32,103 +44,77 @@ func dce(f *Func, p *passCtx) {
 		for _, b := range f.Blocks {
 			kept := b.Instrs[:0]
 			for i := range b.Instrs {
-				in := b.Instrs[i]
+				in := &b.Instrs[i]
 				if in.pure() && in.Dst != NoReg && !used[in.Dst] {
-					p.cov.Hit("dce.remove")
+					p.cov.hit(siteDCERemove)
 					changed = true
 					continue
 				}
-				kept = append(kept, in)
+				kept = append(kept, *in)
 			}
 			b.Instrs = kept
 		}
 	}
 
 	// in-block dead store elimination on AddrVar-rooted stores
+	addrSym, last, dead := &p.addrSym, &p.lastStore, &p.dead
 	for _, b := range f.Blocks {
-		// addrSym[r] = symbol whose address r holds (possibly via offsets)
-		addrSym := make(map[Reg]string)
+		// addrSym[r] = ID of the symbol whose address r holds (possibly via
+		// offsets)
+		addrSym.reset(width)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op == OpAddrVar {
-				addrSym[in.Dst] = in.Sym.Name + "#" + itoa(in.Sym.ID)
+				addrSym.set(in.Dst, in.Sym.ID)
+				last.fit(in.Sym.ID + 1)
 			}
 		}
 		// scan forward: a store to symbol S is dead if the next access to S
 		// in this block is another store with no interfering read/call
-		// (bug: calls not treated as reads)
-		type lastStore struct {
-			idx int
-			ok  bool
-		}
-		last := make(map[string]lastStore)
-		dead := make(map[int]bool)
-		clearAll := func() {
-			for k := range last {
-				delete(last, k)
-			}
-		}
+		// (bug: calls not treated as reads); last[S] is the index of S's
+		// pending store
+		last.clear()
+		dead.reset(len(b.Instrs))
+		anyDead := false
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			switch in.Op {
 			case OpStore:
-				sym, known := addrSym[in.A]
+				sym, known := addrSym.get(in.A)
 				if !known {
 					// store through an arbitrary pointer: could touch any
 					// variable; forget all pending stores
-					clearAll()
+					last.clear()
 					continue
 				}
-				if ls, ok := last[sym]; ok && ls.ok {
-					p.cov.Hit("dce.deadstore")
-					dead[ls.idx] = true
+				if idx, ok := last.get(sym); ok {
+					p.cov.hit(siteDCEDeadStore)
+					dead.add(idx)
+					anyDead = true
 				}
-				last[sym] = lastStore{idx: i, ok: true}
+				last.set(sym, i)
 			case OpLoad:
-				if sym, known := addrSym[in.A]; known {
-					delete(last, sym)
+				if sym, known := addrSym.get(in.A); known {
+					last.del(sym)
 				} else {
-					clearAll()
+					last.clear()
 				}
 			case OpCall:
 				if !deadStoreBug {
-					clearAll()
+					last.clear()
 				}
 			}
 		}
-		if len(dead) > 0 {
+		if anyDead {
 			kept := b.Instrs[:0]
 			for i := range b.Instrs {
-				if dead[i] {
-					continue
+				if !dead.has(i) {
+					kept = append(kept, b.Instrs[i])
 				}
-				kept = append(kept, b.Instrs[i])
 			}
 			b.Instrs = kept
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // simplifyCFG drops unreachable blocks, threads empty jump blocks, and
@@ -136,11 +122,16 @@ func itoa(n int) string {
 func simplifyCFG(f *Func, p *passCtx) {
 	p.cov.Hit("simplifycfg.entry")
 	// thread empty jump-only blocks
+	width := 0
+	for _, b := range f.Blocks {
+		width = max(width, b.ID+1)
+	}
+	seen := &p.threaded
 	redirect := func(b *Block) *Block {
-		seen := map[*Block]bool{}
-		for b != nil && len(b.Instrs) == 0 && b.Term.Kind == TermJmp && !seen[b] {
-			seen[b] = true
-			p.cov.Hit("simplifycfg.thread")
+		seen.reset(width)
+		for b != nil && len(b.Instrs) == 0 && b.Term.Kind == TermJmp && !seen.has(b.ID) {
+			seen.add(b.ID)
+			p.cov.hit(siteSimplifyCFGThread)
 			b = b.Term.To
 		}
 		return b
@@ -159,17 +150,15 @@ func simplifyCFG(f *Func, p *passCtx) {
 	}
 	f.Entry = redirect(f.Entry)
 
-	// drop unreachable blocks
-	live := reachable(f)
-	liveSet := make(map[*Block]bool, len(live))
-	for _, b := range live {
-		liveSet[b] = true
-	}
-	if len(live) != len(f.Blocks) {
+	// drop unreachable blocks (which leaves reachability and predecessors
+	// as analyzed)
+	cfg := &p.cfg
+	cfg.analyze(f)
+	if len(cfg.order) != len(f.Blocks) {
 		p.cov.Hit("simplifycfg.unreachable")
 		kept := f.Blocks[:0]
 		for _, b := range f.Blocks {
-			if liveSet[b] {
+			if cfg.reachable(b) {
 				kept = append(kept, b)
 			}
 		}
@@ -177,38 +166,42 @@ func simplifyCFG(f *Func, p *passCtx) {
 	}
 
 	// merge b -> s when s has exactly one predecessor and b jumps to it
-	pr := preds(f)
-	merged := make(map[*Block]bool)
-	snapshot := append([]*Block(nil), f.Blocks...)
-	for _, b := range snapshot {
-		if merged[b] {
+	merged := &p.merged
+	merged.reset(cfg.width)
+	anyMerged := false
+	p.blocks = append(p.blocks[:0], f.Blocks...)
+	for _, b := range p.blocks {
+		if merged.has(b.ID) {
 			continue
 		}
 		for b.Term.Kind == TermJmp {
 			s := b.Term.To
-			if s == b || len(pr[s]) != 1 || s == f.Entry || merged[s] {
+			if s == b || len(cfg.preds(s)) != 1 || s == f.Entry || merged.has(s.ID) {
 				break
 			}
 			p.bugs.MaybeCrash(p.cov, "simplifycfg-merge-label", func() bool {
 				return len(s.Label) > 6 && s.Label[:6] == "label."
 			})
-			p.cov.Hit("simplifycfg.merge")
+			p.cov.hit(siteSimplifyCFGMerge)
 			b.Instrs = append(b.Instrs, s.Instrs...)
 			b.Term = s.Term
-			merged[s] = true
-			for _, t := range b.Succs() {
-				for i, q := range pr[t] {
+			merged.add(s.ID)
+			anyMerged = true
+			ss, n := b.succs()
+			for _, t := range ss[:n] {
+				pt := cfg.preds(t)
+				for i, q := range pt {
 					if q == s {
-						pr[t][i] = b
+						pt[i] = b
 					}
 				}
 			}
 		}
 	}
-	if len(merged) > 0 {
+	if anyMerged {
 		kept := f.Blocks[:0]
 		for _, b := range f.Blocks {
-			if !merged[b] {
+			if !merged.has(b.ID) {
 				kept = append(kept, b)
 			}
 		}
@@ -228,50 +221,48 @@ func simplifyCFG(f *Func, p *passCtx) {
 func aliasForward(f *Func, p *passCtx) {
 	p.cov.Hit("alias.entry")
 	buggy := p.bugs.Active("alias-store-forward")
+	width := f.NumRegs + 1
+	p.ver = grow(p.ver, width)
+	addrSym := &p.addrSym // reg -> symbol ID (direct AddrVar only)
+	stored := &p.stored   // symbol ID -> last stored value reg
 	for _, b := range f.Blocks {
-		addrSym := make(map[Reg]int) // reg -> symbol ID (direct AddrVar only)
-		stored := make(map[int]Reg)  // symbol ID -> last stored value reg
+		addrSym.reset(width)
+		stored.clear()
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			switch in.Op {
 			case OpAddrVar:
-				addrSym[in.Dst] = in.Sym.ID
+				addrSym.set(in.Dst, in.Sym.ID)
+				stored.fit(in.Sym.ID + 1)
 			case OpStore:
-				if sid, ok := addrSym[in.A]; ok {
-					stored[sid] = in.B
+				if sid, ok := addrSym.get(in.A); ok {
+					stored.set(sid, p.at(in.B))
 					continue
 				}
 				// store through a pointer: may alias anything
 				if !buggy {
-					p.cov.Hit("alias.clobber")
-					stored = make(map[int]Reg)
+					p.cov.hit(siteAliasClobber)
+					stored.clear()
 				}
 			case OpLoad:
-				if sid, ok := addrSym[in.A]; ok {
-					if v, okv := stored[sid]; okv {
-						p.cov.Hit("alias.forward")
-						*in = Instr{Op: OpCopy, Dst: in.Dst, A: v, Pos: in.Pos}
+				if sid, ok := addrSym.get(in.A); ok {
+					if v, okv := stored.get(sid); okv && p.live(v) {
+						p.cov.hit(siteAliasForward)
+						*in = Instr{Op: OpCopy, Dst: in.Dst, A: v.reg, Pos: in.Pos}
 						continue
 					}
 				}
 			case OpCall:
 				// the callee may store to any variable
-				stored = make(map[int]Reg)
-				for k := range addrSym {
-					_ = k
-				}
+				stored.clear()
 			case OpAddrIdx:
 				// derived pointers are not tracked; nothing to do
 			default:
 				if in.Dst != NoReg {
 					// a redefined value register invalidates forwarding of
-					// that register
-					for sid, v := range stored {
-						if v == in.Dst {
-							delete(stored, sid)
-						}
-					}
-					delete(addrSym, in.Dst)
+					// that register (its stored entries go stale)
+					p.ver[in.Dst]++
+					addrSym.del(in.Dst)
 				}
 			}
 		}
@@ -285,15 +276,19 @@ func aliasForward(f *Func, p *passCtx) {
 func licm(f *Func, p *passCtx) {
 	p.cov.Hit("licm.entry")
 	hoistBug := p.bugs.Active("licm-hoist-conditional")
-	loops := naturalLoops(f)
+	cfg := &p.cfg
+	cfg.analyze(f)
+	cfg.dominators()
+	loops := cfg.naturalLoops()
 	if len(loops) == 0 {
 		return
 	}
-	dom := dominators(f)
-	pr := preds(f)
+	width := f.NumRegs + 1
 
 	// count definitions of each register across the function (non-SSA)
-	defCount := make(map[Reg]int)
+	p.defCount = grow(p.defCount, width)
+	defCount := p.defCount
+	clear(defCount)
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Dst; d != NoReg {
@@ -302,94 +297,96 @@ func licm(f *Func, p *passCtx) {
 		}
 	}
 
-	for _, lp := range loops {
-		p.cov.Hit("licm.loop")
+	definedIn := &p.definedIn // registers defined inside the loop
+	// readsLoopDef reports whether a pure instruction reads a register
+	// defined inside the loop
+	readsLoopDef := func(in *Instr) bool {
+		switch in.Op {
+		case OpBin, OpAddrIdx:
+			return definedIn.has(in.A) || definedIn.has(in.B)
+		case OpUn, OpConv, OpCopy:
+			return definedIn.has(in.A)
+		}
+		return false
+	}
+	for li := range loops {
+		lp := &loops[li]
+		p.cov.hit(siteLICMLoop)
 		p.bugs.MaybeCrash(p.cov, "licm-crash-nested-loop", func() bool {
 			// nested loop whose header is shared loop body: another loop's
 			// header inside this loop's body
-			for _, other := range loops {
-				if other != lp && lp.body[other.header] && len(pr[other.header]) >= 3 {
+			for oi := range loops {
+				if oi != li && lp.contains(loops[oi].header) && len(cfg.preds(loops[oi].header)) >= 3 {
 					return true
 				}
 			}
 			return false
 		})
-		// back-edge sources
-		var latches []*Block
-		for _, q := range pr[lp.header] {
-			if lp.body[q] {
+		// back-edge sources, and the preheader: the unique predecessor
+		// outside the loop
+		latches := p.latches[:0]
+		var pre *Block
+		outside := 0
+		for _, q := range cfg.preds(lp.header) {
+			if lp.contains(q) {
 				latches = append(latches, q)
+			} else {
+				outside++
+				pre = q
 			}
 		}
-		// build / find the preheader: the unique predecessor outside the loop
-		var outside []*Block
-		for _, q := range pr[lp.header] {
-			if !lp.body[q] {
-				outside = append(outside, q)
-			}
-		}
-		if len(outside) != 1 || outside[0].Term.Kind != TermJmp {
+		p.latches = latches
+		if outside != 1 || pre.Term.Kind != TermJmp {
 			continue // no convenient preheader; skip this loop
 		}
-		pre := outside[0]
 
-		// registers defined inside the loop
-		definedIn := make(map[Reg]bool)
-		for b := range lp.body {
+		definedIn.reset(width)
+		for _, b := range f.Blocks {
+			if !lp.contains(b) {
+				continue
+			}
 			for i := range b.Instrs {
 				if d := b.Instrs[i].Dst; d != NoReg {
-					definedIn[d] = true
+					definedIn.add(d)
 				}
 			}
 		}
 		hoisted := true
 		for hoisted {
 			hoisted = false
-			// f.Blocks order, not map order: the preheader's instruction
-			// order (and which hoists a round admits) follows this walk
+			// f.Blocks order: the preheader's instruction order (and which
+			// hoists a round admits) follows this walk
 			for _, b := range f.Blocks {
-				if !lp.body[b] {
+				if !lp.contains(b) {
 					continue
 				}
 				kept := b.Instrs[:0]
 				for i := range b.Instrs {
-					in := b.Instrs[i]
-					canHoist := in.pure() && in.Dst != NoReg && defCount[in.Dst] == 1
-					if canHoist {
-						for _, u := range in.uses() {
-							if definedIn[u] {
-								canHoist = false
-								break
-							}
-						}
-					}
+					in := &b.Instrs[i]
+					canHoist := in.pure() && in.Dst != NoReg && defCount[in.Dst] == 1 && !readsLoopDef(in)
 					if canHoist {
 						trapping := in.Op == OpBin && (in.BinOp == "/" || in.BinOp == "%")
 						if trapping && !hoistBug {
 							// only hoist when b executes every iteration
-							execEveryIter := true
 							for _, latch := range latches {
-								if !dom[latch][b] {
-									execEveryIter = false
+								if !cfg.dominates(b, latch) {
+									canHoist = false
 									break
 								}
-							}
-							if !execEveryIter {
-								canHoist = false
 							}
 						}
 					}
 					if canHoist {
-						p.cov.Hit("licm.hoist")
+						p.cov.hit(siteLICMHoist)
 						if in.Op == OpBin {
-							p.cov.HitOp("licm.hoist", in.BinOp)
+							p.cov.hitOp(familyLICMHoist, in.BinOp)
 						}
-						pre.Instrs = append(pre.Instrs, in)
-						delete(definedIn, in.Dst)
+						pre.Instrs = append(pre.Instrs, *in)
+						definedIn.del(in.Dst)
 						hoisted = true
 						continue
 					}
-					kept = append(kept, in)
+					kept = append(kept, *in)
 				}
 				b.Instrs = kept
 			}

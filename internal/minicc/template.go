@@ -50,13 +50,14 @@ import (
 )
 
 // Cache is the per-worker reusable backend state: IR templates keyed on the
-// identity of the analyzed template program, plus the pooled VM execution
-// state. A Cache is strictly single-goroutine — campaign workers each hold
+// identity of the analyzed template program, the optimization passes'
+// scratch tables, and the pooled VM execution state. A Cache is strictly single-goroutine — campaign workers each hold
 // their own — and the outcome returned by RunCached aliases cache-owned
 // scratch storage that the next RunCached call on the same cache recycles.
 type Cache struct {
 	templates map[*cc.Program]*irTemplate
 	exec      *execState
+	passes    passCtx
 	stats     CacheStats
 }
 
@@ -212,7 +213,8 @@ func (c *Compiler) runOnce(ca *Cache, tm *irTemplate, prog *cc.Program, bugs *Bu
 					}
 				}
 			}()
-			c.runPasses(irp, bugs, cov, budget)
+			ca.passes.begin(cov, bugs, budget)
+			c.runPasses(irp, &ca.passes)
 		}()
 	}
 	ro := &RunOutcome{Compile: out}
@@ -285,9 +287,11 @@ const (
 )
 
 // traceEvent is one replayable step of a template lowering: either a
-// coverage hit or a seeded-crash callsite with its trigger.
+// coverage hit (site, with id -1 when the site is unregistered) or a
+// seeded-crash callsite with its trigger.
 type traceEvent struct {
 	site string
+	id   siteID
 	hook string
 	cond func() bool
 }
@@ -574,10 +578,13 @@ func (tm *irTemplate) patchable() bool {
 func (tm *irTemplate) replay(bugs *BugSet, cov *Coverage) {
 	for i := range tm.events {
 		ev := &tm.events[i]
-		if ev.site != "" {
-			cov.Hit(ev.site)
-		} else {
+		switch {
+		case ev.site == "":
 			bugs.MaybeCrash(cov, ev.hook, ev.cond)
+		case ev.id >= 0:
+			cov.hit(ev.id)
+		default: // unregistered: Hit reports the drift
+			cov.Hit(ev.site)
 		}
 	}
 }

@@ -421,7 +421,7 @@ func (m *vm) internStr(s string) *interp.Object {
 
 // call executes one compiled function.
 func (m *vm) call(f *Func, args []interp.Value) (interp.Value, bool) {
-	m.cov.Hit("vm.call")
+	m.cov.hit(siteVMCall)
 	if m.depth >= m.cfg.MaxDepth {
 		m.trap("stack overflow in %s", f.Name)
 	}
@@ -485,7 +485,7 @@ func (m *vm) call(f *Func, args []interp.Value) (interp.Value, bool) {
 		case TermJmp:
 			b = b.Term.To
 		case TermBr:
-			m.cov.Hit("vm.branch")
+			m.cov.hit(siteVMBranch)
 			taken := false
 			if m.brReady {
 				taken = m.brTaken
@@ -562,8 +562,8 @@ func (m *vm) execConst(in *Instr, regs []interp.Value) {
 }
 
 func (m *vm) execBin(in *Instr, regs []interp.Value) {
-	m.cov.Hit("vm.bin")
-	m.cov.HitOp("vm.bin", in.BinOp)
+	m.cov.hit(siteVMBin)
+	m.cov.hitOp(familyVMBin, in.BinOp)
 	regs[in.Dst] = m.binop(in.BinOp, regs[in.A], regs[in.B], in.Type)
 }
 
@@ -584,7 +584,7 @@ func (m *vm) execAddrIdx(in *Instr, regs []interp.Value) {
 }
 
 func (m *vm) execLoad(in *Instr, regs []interp.Value) {
-	m.cov.Hit("vm.load")
+	m.cov.hit(siteVMLoad)
 	v := regs[in.A]
 	if v.Kind != interp.VPtr {
 		m.trap("load through non-pointer at %s", in.Pos)
@@ -597,7 +597,7 @@ func (m *vm) execLoad(in *Instr, regs []interp.Value) {
 }
 
 func (m *vm) execStore(in *Instr, regs []interp.Value) {
-	m.cov.Hit("vm.store")
+	m.cov.hit(siteVMStore)
 	v := regs[in.A]
 	if v.Kind != interp.VPtr {
 		m.trap("store through non-pointer at %s", in.Pos)

@@ -324,3 +324,53 @@ func TestEvalConstBinCorners(t *testing.T) {
 		t.Errorf("char truncation = %v %v", r, ok)
 	}
 }
+
+// TestRedefinitionRetiresRecords pins the invalidation that copyProp, cse
+// and aliasForward rely on: once a register is redefined, a copy of it, an
+// expression over it, or a stored value in it must not be reused. Lowered
+// code seldom reaches these cases, because copy sources and stored values
+// are single-definition temporaries, so the IR is built by hand.
+func TestRedefinitionRetiresRecords(t *testing.T) {
+	block := func(instrs ...Instr) *Func {
+		f := &Func{Name: "t", NumRegs: 6}
+		f.Entry = f.NewBlock("entry")
+		f.Entry.Instrs = instrs
+		f.Entry.Term = Term{Kind: TermRet, HasVal: true, Val: 6}
+		return f
+	}
+	add := func(dst, a, b Reg) Instr { return Instr{Op: OpBin, BinOp: "+", Dst: dst, A: a, B: b} }
+
+	f := block(
+		Instr{Op: OpCopy, Dst: 2, A: 1},
+		add(1, 3, 4), // r1 redefined: r2 is no longer a copy of it
+		add(6, 2, 2),
+	)
+	copyProp(f, newCtx())
+	if in := f.Entry.Instrs[2]; in.A != 2 || in.B != 2 {
+		t.Errorf("copyProp read a redefined source:\n%s", f)
+	}
+
+	f = block(
+		Instr{Op: OpBin, BinOp: "*", Dst: 3, A: 1, B: 2},
+		add(1, 4, 4), // r1 redefined: r1*r2 must be recomputed
+		Instr{Op: OpBin, BinOp: "*", Dst: 5, A: 1, B: 2},
+		add(6, 3, 5),
+	)
+	cse(f, newCtx())
+	if f.Entry.Instrs[2].Op != OpBin {
+		t.Errorf("cse reused an expression over a redefined register:\n%s", f)
+	}
+
+	g := &cc.Symbol{Name: "g"}
+	f = block(
+		Instr{Op: OpAddrVar, Dst: 1, Sym: g},
+		Instr{Op: OpStore, A: 1, B: 2},
+		add(2, 3, 4), // r2 redefined: the load must not forward it
+		Instr{Op: OpLoad, Dst: 5, A: 1},
+		add(6, 5, 5),
+	)
+	aliasForward(f, newCtx())
+	if f.Entry.Instrs[3].Op != OpLoad {
+		t.Errorf("aliasForward forwarded a redefined value:\n%s", f)
+	}
+}

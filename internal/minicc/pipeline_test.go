@@ -64,7 +64,7 @@ func TestOptimizedIRDeterministic(t *testing.T) {
 				for r := 1; r < reps; r++ {
 					if got := compileDigest(c.Compile(prog)); got != want {
 						t.Fatalf("program %d, %s: compilation %d differs\n--- first ---\n%s--- now ---\n%s",
-							pi, fmt.Sprint(c), r, want, got)
+							pi, c, r, want, got)
 					}
 				}
 			}
@@ -204,9 +204,9 @@ func checkPassInvariants(prog *cc.Program, c *Compiler) (err error) {
 }
 
 // checkIRInvariants checks one function: block IDs are unique, the entry
-// and every branch target are blocks of f, every register operand lies in
-// [0, NumRegs], and every OpAddrVar symbol is the program's symbol of that
-// ID.
+// and every branch target are non-nil blocks of f, every register operand
+// lies in [0, NumRegs], and every OpAddrVar symbol is the program's symbol
+// of that ID.
 func checkIRInvariants(f *Func, prog *cc.Program) error {
 	ids := make(map[int]bool, len(f.Blocks))
 	in := make(map[*Block]bool, len(f.Blocks))
@@ -246,8 +246,9 @@ func checkIRInvariants(f *Func, prog *cc.Program) error {
 		if err := reg(b.Term.Val); err != nil {
 			return fmt.Errorf("b%d terminator: %w", b.ID, err)
 		}
-		for _, s := range []*Block{b.Term.To, b.Term.Else} {
-			if s != nil && !in[s] {
+		ss, n := b.succs()
+		for _, s := range ss[:n] {
+			if !in[s] {
 				return fmt.Errorf("b%d branches to a block outside the function", b.ID)
 			}
 		}

@@ -71,12 +71,19 @@ func grow[T any](s []T, n int) []T {
 	return make([]T, n, n+n/4)
 }
 
-// analyze computes reachability and predecessors of f.
-func (c *cfgInfo) analyze(f *Func) {
+// blockWidth is one past the largest block ID of f: the length of a
+// Block.ID-indexed table.
+func blockWidth(f *Func) int {
 	w := 0
 	for _, b := range f.Blocks {
 		w = max(w, b.ID+1)
 	}
+	return w
+}
+
+// analyze computes reachability and predecessors of f.
+func (c *cfgInfo) analyze(f *Func) {
+	w := blockWidth(f)
 	c.width = w
 	c.seen = grow(c.seen, w)
 	clear(c.seen)

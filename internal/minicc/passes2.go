@@ -122,10 +122,7 @@ func dce(f *Func, p *passCtx) {
 func simplifyCFG(f *Func, p *passCtx) {
 	p.cov.Hit("simplifycfg.entry")
 	// thread empty jump-only blocks
-	width := 0
-	for _, b := range f.Blocks {
-		width = max(width, b.ID+1)
-	}
+	width := blockWidth(f)
 	seen := &p.threaded
 	redirect := func(b *Block) *Block {
 		seen.reset(width)

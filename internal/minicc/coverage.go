@@ -145,9 +145,9 @@ var siteOrder = func() []siteID {
 	return out
 }()
 
-// site returns the ID of a registered site; the hot instrumentation points
-// below resolve theirs once, at package initialization.
-func site(name string) siteID {
+// mustSite returns the ID of a registered site; the hot instrumentation
+// points below resolve theirs once, at package initialization.
+func mustSite(name string) siteID {
 	id, ok := siteIdx[name]
 	if !ok {
 		panic("minicc: unregistered coverage site " + name)
@@ -159,10 +159,10 @@ func site(name string) siteID {
 // by binOpIndex.
 type opFamily [len(binOps)]siteID
 
-func family(name string) *opFamily {
+func mustFamily(name string) *opFamily {
 	var f opFamily
 	for i, op := range binOps {
-		f[i] = site(name + "." + opNames[op])
+		f[i] = mustSite(name + "." + opNames[op])
 	}
 	return &f
 }
@@ -170,39 +170,39 @@ func family(name string) *opFamily {
 // Sites hit once per executed instruction, per rewritten instruction, or
 // per block.
 var (
-	siteConstFoldBin       = site("constfold.bin")
-	siteConstFoldUn        = site("constfold.un")
-	siteConstFoldConv      = site("constfold.conv")
-	siteConstFoldBranch    = site("constfold.branch")
-	siteConstFoldTaken     = site("constfold.branch.taken")
-	siteConstFoldDropped   = site("constfold.branch.dropped")
-	siteConstFoldZero      = site("constfold.result.zero")
-	siteConstFoldNegative  = site("constfold.result.negative")
-	siteConstFoldNonzero   = site("constfold.result.nonzero")
-	siteConstPropMeet      = site("constprop.meet")
-	siteConstPropReplace   = site("constprop.replace")
-	siteConstPropBranch    = site("constprop.branch")
-	siteCopyPropReplace    = site("copyprop.replace")
-	siteCSEHit             = site("cse.hit")
-	siteCSECommute         = site("cse.commute")
-	siteDCERemove          = site("dce.remove")
-	siteDCEDeadStore       = site("dce.deadstore")
-	siteSimplifyCFGThread  = site("simplifycfg.thread")
-	siteSimplifyCFGMerge   = site("simplifycfg.merge")
-	siteLICMLoop           = site("licm.loop")
-	siteLICMHoist          = site("licm.hoist")
-	siteAliasForward       = site("alias.forward")
-	siteAliasClobber       = site("alias.clobber")
-	siteVMCall             = site("vm.call")
-	siteVMLoad             = site("vm.load")
-	siteVMStore            = site("vm.store")
-	siteVMBin              = site("vm.bin")
-	siteVMBranch           = site("vm.branch")
-	familyConstFoldBin     = family("constfold.bin")
-	familyConstPropReplace = family("constprop.replace")
-	familyCSEHit           = family("cse.hit")
-	familyLICMHoist        = family("licm.hoist")
-	familyVMBin            = family("vm.bin")
+	siteConstFoldBin       = mustSite("constfold.bin")
+	siteConstFoldUn        = mustSite("constfold.un")
+	siteConstFoldConv      = mustSite("constfold.conv")
+	siteConstFoldBranch    = mustSite("constfold.branch")
+	siteConstFoldTaken     = mustSite("constfold.branch.taken")
+	siteConstFoldDropped   = mustSite("constfold.branch.dropped")
+	siteConstFoldZero      = mustSite("constfold.result.zero")
+	siteConstFoldNegative  = mustSite("constfold.result.negative")
+	siteConstFoldNonzero   = mustSite("constfold.result.nonzero")
+	siteConstPropMeet      = mustSite("constprop.meet")
+	siteConstPropReplace   = mustSite("constprop.replace")
+	siteConstPropBranch    = mustSite("constprop.branch")
+	siteCopyPropReplace    = mustSite("copyprop.replace")
+	siteCSEHit             = mustSite("cse.hit")
+	siteCSECommute         = mustSite("cse.commute")
+	siteDCERemove          = mustSite("dce.remove")
+	siteDCEDeadStore       = mustSite("dce.deadstore")
+	siteSimplifyCFGThread  = mustSite("simplifycfg.thread")
+	siteSimplifyCFGMerge   = mustSite("simplifycfg.merge")
+	siteLICMLoop           = mustSite("licm.loop")
+	siteLICMHoist          = mustSite("licm.hoist")
+	siteAliasForward       = mustSite("alias.forward")
+	siteAliasClobber       = mustSite("alias.clobber")
+	siteVMCall             = mustSite("vm.call")
+	siteVMLoad             = mustSite("vm.load")
+	siteVMStore            = mustSite("vm.store")
+	siteVMBin              = mustSite("vm.bin")
+	siteVMBranch           = mustSite("vm.branch")
+	familyConstFoldBin     = mustFamily("constfold.bin")
+	familyConstPropReplace = mustFamily("constprop.replace")
+	familyCSEHit           = mustFamily("cse.hit")
+	familyLICMHoist        = mustFamily("licm.hoist")
+	familyVMBin            = mustFamily("vm.bin")
 )
 
 // NewCoverage returns an empty coverage recorder. Hit panics on

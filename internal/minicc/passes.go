@@ -69,7 +69,8 @@ func (s *passScratch) at(r Reg) versioned { return versioned{r, s.ver[r]} }
 // denseSet is a set of small non-negative keys (register numbers, block,
 // symbol or instruction indices) backed by a reused slice. A key is present
 // when its stamp equals the current generation, so emptying the set is one
-// increment. Call reset before first use.
+// increment. Call reset or clear before first use: in the zero value every
+// key reads as present.
 type denseSet[K ~int] struct {
 	stamp []uint32
 	gen   uint32

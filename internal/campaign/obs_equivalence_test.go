@@ -353,3 +353,34 @@ func TestTelemetryCheckpointClean(t *testing.T) {
 		t.Error("loaded checkpoint carries a non-nil Telemetry")
 	}
 }
+
+// TestRefvmLoopSkipsCounted checks that the oracle's loop-detector skips
+// reach spe_refvm_loop_skips_total through the per-shard merge: the
+// paper's goto seed cuts runs short by exact recurrence and the nested
+// loop seed by counters, and the switch loop, which runs no detector,
+// skips nothing.
+func TestRefvmLoopSkipsCounted(t *testing.T) {
+	for _, dispatch := range []string{DispatchThreaded, DispatchSwitch} {
+		tel := NewTelemetry()
+		cfg := Config{
+			Corpus:             corpus.Seeds()[4:6],
+			Versions:           []string{"trunk"},
+			Threshold:          -1,
+			MaxVariantsPerFile: 100,
+			Workers:            2,
+			Dispatch:           dispatch,
+			Telemetry:          tel,
+		}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		cycle, counter := tel.refvmCycleSkips.Load(), tel.refvmCounterSkips.Load()
+		if dispatch == DispatchSwitch {
+			if cycle != 0 || counter != 0 {
+				t.Errorf("switch dispatch: %d cycle and %d counter skips, want none", cycle, counter)
+			}
+		} else if cycle == 0 || counter == 0 {
+			t.Errorf("threaded dispatch: %d cycle and %d counter skips, want both > 0", cycle, counter)
+		}
+	}
+}

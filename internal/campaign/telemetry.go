@@ -64,6 +64,8 @@ type Telemetry struct {
 	refvmSwitchRuns      *obs.Counter
 	refvmBatchRuns       *obs.Counter
 	refvmBatches         *obs.Counter
+	refvmCycleSkips      *obs.Counter
+	refvmCounterSkips    *obs.Counter
 
 	costNsPerVariant *obs.Gauge
 	reorderPending   *obs.Gauge
@@ -145,6 +147,8 @@ func NewTelemetry() *Telemetry {
 		refvmSwitchRuns:      reg.Counter("spe_refvm_runs_total", "Oracle runs by instruction dispatch engine.", obs.L("dispatch", "switch")),
 		refvmBatchRuns:       reg.Counter("spe_refvm_batch_runs_total", "Oracle runs served inside a batched shard execution."),
 		refvmBatches:         reg.Counter("spe_refvm_batches_total", "Batched shard executions (one RunBatch per eligible shard)."),
+		refvmCycleSkips:      reg.Counter("spe_refvm_loop_skips_total", "Step-limited oracle runs the loop detector cut short, by proof.", obs.L("proof", "cycle")),
+		refvmCounterSkips:    reg.Counter("spe_refvm_loop_skips_total", "Step-limited oracle runs the loop detector cut short, by proof.", obs.L("proof", "counter")),
 
 		costNsPerVariant: reg.Gauge("spe_cost_ns_per_variant", "EWMA per-variant wall-clock cost model (adaptive shard sizing)."),
 		reorderPending:   reg.Gauge("spe_reorder_pending_shards", "Shard results buffered awaiting in-order merge."),
@@ -344,6 +348,8 @@ func (t *Telemetry) observeMerge(r *taskResult) {
 		t.refvmSwitchRuns.Add(so.refvm.SwitchRuns)
 		t.refvmBatchRuns.Add(so.refvm.BatchRuns)
 		t.refvmBatches.Add(so.refvm.Batches)
+		t.refvmCycleSkips.Add(so.refvm.CycleSkips)
+		t.refvmCounterSkips.Add(so.refvm.CounterSkips)
 	}
 }
 

@@ -15,12 +15,19 @@
 // Equivalence contract: for every analyzed program, Run and Cache.Run
 // return a Result observationally identical to internal/interp — the same
 // output bytes, exit status, abort flag, undefined-behavior verdict (kind
-// and position), resource-limit verdict, and step count (the campaign
-// derives the compiled binary's execution budget from the oracle's steps,
-// so even Steps must match for reports to stay byte-identical across
-// oracles). UB message text is matched on a best-effort basis; the
-// structured fields are the contract, pinned by the package's
-// corpus-wide differential tests.
+// and position), and resource-limit presence — and, on defined runs, the
+// same step count (the campaign derives the compiled binary's execution
+// budget from a defined run's steps, so those Steps must match for
+// reports to stay byte-identical across oracles). On step-limited runs
+// Steps and the limit message may differ: an instruction charges the
+// steps of the nodes it bundles before it executes, so refvm can stop a
+// few steps above the tree-walker and name a neighbouring position. UB
+// message text is matched on a best-effort basis; the structured fields
+// are the contract, pinned by the package's corpus-wide differential
+// tests (diff compares Steps on defined runs only). The threaded and
+// switch loops agree on every Result field, step-limited runs included:
+// the threaded loop's loop detector (loop.go) cuts runs short only where
+// it proves the Result unchanged.
 //
 // Concurrency and ownership: package-level Run is safe from any goroutine
 // (private compile + private machine per call). A Cache is strictly
@@ -80,9 +87,10 @@ type Cache struct {
 // templates compiled (once per skeleton per cache), runs served by
 // patching the moved holes in place, runs that fell back to a fresh
 // compilation of the patched tree (type-shape drift), runs by dispatch
-// mode, and batched-execution activity (RunBatch runs and the number of
-// batches they arrived in). Plain ints — the cache is single-goroutine —
-// read by the campaign's telemetry once per shard.
+// mode, batched-execution activity (RunBatch runs and the number of
+// batches they arrived in), and step-limited runs the loop detector cut
+// short by each proof (loop.go). Plain ints — the cache is
+// single-goroutine — read by the campaign's telemetry once per shard.
 type CacheStats struct {
 	TemplateCompiles int64
 	PatchRuns        int64
@@ -91,6 +99,8 @@ type CacheStats struct {
 	SwitchRuns       int64
 	BatchRuns        int64
 	Batches          int64
+	CycleSkips       int64
+	CounterSkips     int64
 }
 
 // Sub returns the stats delta since base.
@@ -103,6 +113,8 @@ func (s CacheStats) Sub(base CacheStats) CacheStats {
 		SwitchRuns:       s.SwitchRuns - base.SwitchRuns,
 		BatchRuns:        s.BatchRuns - base.BatchRuns,
 		Batches:          s.Batches - base.Batches,
+		CycleSkips:       s.CycleSkips - base.CycleSkips,
+		CounterSkips:     s.CounterSkips - base.CounterSkips,
 	}
 }
 
@@ -178,13 +190,22 @@ func (ca *Cache) template(prog *cc.Program, holes []*cc.Ident) *template {
 // runPatched patches the moved holes and runs the template, falling back
 // to a fresh compilation when a hole cannot be patched in place.
 func (ca *Cache) runPatched(tm *template, prog *cc.Program, holes []*cc.Ident, cfg Config) *interp.Result {
-	if !tm.patch(holes) {
+	p := tm.p
+	if tm.patch(holes) {
+		ca.stats.PatchRuns++
+	} else {
 		// fresh-compile fallback: the patched tree is authoritative
 		ca.stats.Fallbacks++
-		return ca.vm.run(compileProgram(prog, nil), cfg)
+		p = compileProgram(prog, nil)
 	}
-	ca.stats.PatchRuns++
-	return ca.vm.run(tm.p, cfg)
+	res := ca.vm.run(p, cfg)
+	switch ca.vm.loop.skipped {
+	case proofCycle:
+		ca.stats.CycleSkips++
+	case proofCounter:
+		ca.stats.CounterSkips++
+	}
+	return res
 }
 
 func (ca *Cache) countDispatch(cfg Config) {

@@ -30,8 +30,8 @@ func (vm *vmState) execThreaded() {
 		in := &code[pc]
 		if in.step != 0 {
 			vm.steps += int64(in.step)
-			if vm.steps > vm.cfg.MaxSteps {
-				vm.limit("step budget exhausted at %s", vm.pos(in.pos))
+			if vm.steps > vm.budget {
+				vm.overBudget(in, pc)
 			}
 		}
 		pc = handlers[pc](vm, in, pc)
@@ -88,6 +88,12 @@ func handlerFor(p *program, fn *fnCode, i int) opFunc {
 	case opBinopJnz:
 		if in.a >= bopEq {
 			return hBinopCmpJnz
+		}
+	case opIncDec:
+		// the pop is skipped, so it must not carry a step; control that
+		// lands on it from elsewhere still runs it as a plain pop
+		if i+1 < len(fn.code) && fn.code[i+1].op == opPop && fn.code[i+1].step == 0 {
+			return hIncDecDiscard
 		}
 	}
 	return opHandlers[in.op]
@@ -165,9 +171,9 @@ func hStr(vm *vmState, in *instr, pc int32) int32 {
 		h = vm.allocRaw(int32(len(s)+1), -1, vm.p.nameStrlit, true, true)
 		cells := vm.objs[h].cells
 		for i := 0; i < len(s); i++ {
-			cells[i] = vCell{val: vm.p.tt.mkInt(int64(s[i]), basicChar), init: true}
+			cells[i] = vCell{val: vm.p.tt.mkInt(int64(s[i]), basicChar), init: cellSet}
 		}
-		cells[len(s)] = vCell{val: vm.p.tt.mkInt(0, basicChar), init: true}
+		cells[len(s)] = vCell{val: vm.p.tt.mkInt(0, basicChar), init: cellSet}
 		vm.strObjs[in.a] = h
 	}
 	vm.push(mkPtr(h, 0, basicChar))
@@ -178,7 +184,7 @@ func hLoadVarScalar(vm *vmState, in *instr, pc int32) int32 {
 	vr := &vm.p.varRefs[in.a]
 	h := vm.varObj(vr)
 	cell := &vm.objs[h].cells[0]
-	if !cell.init {
+	if cell.init != cellSet && !vm.unmark(cell) {
 		vm.ub(ubUninitRead, in.pos, "object %s cell %d", vm.p.names[vr.name], 0)
 	}
 	vm.push(cell.val)
@@ -303,6 +309,31 @@ func hIncDec(vm *vmState, in *instr, pc int32) int32 {
 	return pc + 1
 }
 
+// hIncDecDiscard is opIncDec followed by an opPop without a step: a ++
+// or -- whose value is discarded. While the loop detector verifies a
+// counter proof, it bumps a marked counter cell in place and keeps the
+// mark, the one access the proof allows (loop.go); otherwise it is
+// hIncDec without the push and pop.
+func hIncDecDiscard(vm *vmState, in *instr, pc int32) int32 {
+	p := vm.pop()
+	op := bopAdd
+	if in.b&incDec != 0 {
+		op = bopSub
+	}
+	one := Value{Kind: kInt, Bits: 1, TIdx: basicInt}
+	if vm.loop.phase == loopVerify && in.b&incAgg == 0 {
+		vm.checkAccess(p, in.pos)
+		if cell := &vm.objs[p.Obj].cells[p.off()]; cell.init == cellCounter {
+			cell.val = vm.addSub(op, cell.val, one, in.pos, typeOf(cell.val))
+			vm.loop.bumps++
+			return pc + 2
+		}
+	}
+	old := vm.load(p, in.pos, in.a, in.b&incAgg != 0)
+	vm.store(p, vm.addSub(op, old, one, in.pos, typeOf(old)), in.pos)
+	return pc + 2
+}
+
 func hConv(vm *vmState, in *instr, pc int32) int32 {
 	v := vm.pop()
 	vm.push(vm.convertAt(v, in.a, in.pos))
@@ -356,7 +387,7 @@ func hStructCopy(vm *vmState, in *instr, pc int32) int32 {
 		src := mkPtr(rv.Obj, rv.off()+i, rv.TIdx)
 		vm.checkAccess(src, in.pos)
 		cell := &vm.objs[rv.Obj].cells[rv.off()+i]
-		if !cell.init {
+		if cell.init != cellSet && !vm.unmark(cell) {
 			vm.ub(ubUninitRead, in.pos, "copy of uninitialized struct field")
 		}
 		vm.store(mkPtr(lhs.Obj, lhs.off()+i, lhs.TIdx), cell.val, in.pos)
@@ -394,7 +425,7 @@ func hCall(vm *vmState, in *instr, pc int32) int32 {
 		} else {
 			v = vm.p.consts[prm.zero]
 		}
-		vm.objs[h].cells[0] = vCell{val: v, init: true}
+		vm.objs[h].cells[0] = vCell{val: v, init: cellSet}
 		if prm.slot >= 0 {
 			nf.locals[prm.slot] = h
 		}
@@ -425,7 +456,7 @@ func hCallMain(vm *vmState, in *instr, pc int32) int32 {
 	for pi := range fn2.params {
 		prm := &fn2.params[pi]
 		h := vm.alloc(prm.allocT, prm.name)
-		vm.objs[h].cells[0] = vCell{val: vm.p.consts[prm.zero], init: true}
+		vm.objs[h].cells[0] = vCell{val: vm.p.consts[prm.zero], init: cellSet}
 		if prm.slot >= 0 {
 			nf.locals[prm.slot] = h
 		}
@@ -498,7 +529,7 @@ func hInitCell(vm *vmState, in *instr, pc int32) int32 {
 	v := vm.pop()
 	p := vm.top()
 	cv := vm.convertAt(v, in.a, in.pos)
-	vm.objs[p.Obj].cells[in.b] = vCell{val: cv, init: true}
+	vm.objs[p.Obj].cells[in.b] = vCell{val: cv, init: cellSet}
 	return pc + 1
 }
 
@@ -507,8 +538,8 @@ func hZeroFill(vm *vmState, in *instr, pc int32) int32 {
 	zv := vm.p.consts[in.a]
 	cells := vm.objs[p.Obj].cells
 	for i := range cells {
-		if !cells[i].init {
-			cells[i] = vCell{val: zv, init: true}
+		if cells[i].init == cellUninit {
+			cells[i] = vCell{val: zv, init: cellSet}
 		}
 	}
 	return pc + 1
@@ -519,7 +550,7 @@ func hZeroAll(vm *vmState, in *instr, pc int32) int32 {
 	zv := vm.p.consts[in.a]
 	cells := vm.objs[p.Obj].cells
 	for i := range cells {
-		cells[i] = vCell{val: zv, init: true}
+		cells[i] = vCell{val: zv, init: cellSet}
 	}
 	return pc + 1
 }
@@ -601,7 +632,7 @@ func hLoadVarBinop(vm *vmState, in *instr, pc int32) int32 {
 	vr := &vm.p.varRefs[in.a]
 	h := vm.varObj(vr)
 	cell := &vm.objs[h].cells[0]
-	if !cell.init {
+	if cell.init != cellSet && !vm.unmark(cell) {
 		vm.ub(ubUninitRead, in.pos, "object %s cell %d", vm.p.names[vr.name], 0)
 	}
 	nxt := &vm.tfn.code[pc+1]

@@ -185,25 +185,34 @@ func goldenWalk(t *testing.T, ca *Cache, src string, budget int64, cfg Config, y
 	}
 }
 
-// resultDigest renders the outcome kind in clear and a hash of every
-// Result field refvm sets: output, exit status, abort flag, steps, the UB
-// kind, position and message, and the limit message.
-func resultDigest(r *interp.Result) string {
-	kind := "ok"
-	h := sha256.New()
-	fmt.Fprintf(h, "out=%q exit=%d aborted=%v steps=%d", r.Output, r.Exit, r.Aborted, r.Steps)
+// resultFields renders every Result field refvm sets: output, exit
+// status, abort flag, steps, the UB kind, position and message, and the
+// limit message.
+func resultFields(r *interp.Result) string {
+	s := fmt.Sprintf("out=%q exit=%d aborted=%v steps=%d", r.Output, r.Exit, r.Aborted, r.Steps)
 	if r.UB != nil {
-		kind = "ub"
-		fmt.Fprintf(h, " ub=%d@%v:%q", r.UB.Kind, r.UB.Pos, r.UB.Msg)
+		s += fmt.Sprintf(" ub=%d@%v:%q", r.UB.Kind, r.UB.Pos, r.UB.Msg)
 	}
 	if r.Limit != nil {
-		kind = "limit"
-		fmt.Fprintf(h, " limit=%q", r.Limit.Msg)
+		s += fmt.Sprintf(" limit=%q", r.Limit.Msg)
 	}
-	if r.Aborted {
+	return s
+}
+
+// resultDigest renders the outcome kind in clear and a hash of
+// resultFields.
+func resultDigest(r *interp.Result) string {
+	kind := "ok"
+	switch {
+	case r.UB != nil:
+		kind = "ub"
+	case r.Limit != nil:
+		kind = "limit"
+	case r.Aborted:
 		kind = "abort"
 	}
-	return kind + " " + hex.EncodeToString(h.Sum(nil)[:8])
+	sum := sha256.Sum256([]byte(resultFields(r)))
+	return kind + " " + hex.EncodeToString(sum[:8])
 }
 
 // TestResultsGolden pins refvm's Results on the paper seeds walked like

@@ -33,8 +33,18 @@ type Value struct {
 // vCell is one scalar memory slot of an object.
 type vCell struct {
 	val  Value
-	init bool
+	init uint8 // cellUninit, cellSet or cellCounter
 }
+
+// Cell states. A counter cell is a set cell that the loop detector has
+// marked while it proves a loop's period independent of the cell's value
+// (see loop.go). Every value read tests for cellSet, so a read of a
+// counter cell lands in the same slow branch as an uninitialized read.
+const (
+	cellUninit uint8 = iota
+	cellSet
+	cellCounter
+)
 
 // iOf mirrors reading the tree interpreter's Value.I: the integer payload
 // for integers, zero for floats and pointers.

@@ -123,6 +123,12 @@ type vmState struct {
 	// handlers retarget it and the loop reloads its code/handler tables
 	// when it moves (nil = halt). The switch loop ignores it.
 	tfn *fnCode
+
+	// budget is the step count past which the threaded loop leaves its
+	// fast path: min(MaxSteps, the loop detector's next stop). loop is the
+	// detector's state (loop.go). The switch loop ignores both.
+	budget int64
+	loop   loopState
 }
 
 func newVMState() *vmState {
@@ -166,6 +172,8 @@ func (vm *vmState) reset(p *program, cfg Config) {
 	vm.exit = 0
 	vm.hasRet = false
 	vm.retVal = Value{}
+	vm.loop.reset()
+	vm.budget = min(cfg.MaxSteps, firstProbe)
 }
 
 // run executes the compiled program, producing the same Result the
@@ -302,7 +310,7 @@ func (vm *vmState) load(p Value, posIdx int32, aggElem int32, agg bool) Value {
 	}
 	vm.checkAccess(p, posIdx)
 	cell := &vm.objs[p.Obj].cells[p.off()]
-	if !cell.init {
+	if cell.init != cellSet && !vm.unmark(cell) {
 		vm.ub(ubUninitRead, posIdx, "object %s cell %d", vm.objName(p.Obj), p.off())
 	}
 	return cell.val
@@ -311,7 +319,7 @@ func (vm *vmState) load(p Value, posIdx int32, aggElem int32, agg bool) Value {
 // store mirrors machine.store.
 func (vm *vmState) store(p Value, v Value, posIdx int32) {
 	vm.checkAccess(p, posIdx)
-	vm.objs[p.Obj].cells[p.off()] = vCell{val: v, init: true}
+	vm.objs[p.Obj].cells[p.off()] = vCell{val: v, init: cellSet}
 }
 
 func (vm *vmState) push(v Value) { vm.stack = append(vm.stack, v) }
@@ -357,9 +365,9 @@ func (vm *vmState) exec() {
 				h = vm.allocRaw(int32(len(s)+1), -1, vm.p.nameStrlit, true, true)
 				cells := vm.objs[h].cells
 				for i := 0; i < len(s); i++ {
-					cells[i] = vCell{val: vm.p.tt.mkInt(int64(s[i]), basicChar), init: true}
+					cells[i] = vCell{val: vm.p.tt.mkInt(int64(s[i]), basicChar), init: cellSet}
 				}
-				cells[len(s)] = vCell{val: vm.p.tt.mkInt(0, basicChar), init: true}
+				cells[len(s)] = vCell{val: vm.p.tt.mkInt(0, basicChar), init: cellSet}
 				vm.strObjs[in.a] = h
 			}
 			vm.push(mkPtr(h, 0, basicChar))
@@ -372,7 +380,7 @@ func (vm *vmState) exec() {
 				vm.push(mkPtr(h, 0, vr.elem))
 			default:
 				cell := &vm.objs[h].cells[0]
-				if !cell.init {
+				if cell.init != cellSet {
 					vm.ub(ubUninitRead, in.pos, "object %s cell %d", vm.p.names[vr.name], 0)
 				}
 				vm.push(cell.val)
@@ -423,7 +431,7 @@ func (vm *vmState) exec() {
 			vr := &vm.p.varRefs[in.a]
 			h := vm.varObj(vr)
 			cell := &vm.objs[h].cells[0]
-			if !cell.init {
+			if cell.init != cellSet {
 				vm.ub(ubUninitRead, in.pos, "object %s cell %d", vm.p.names[vr.name], 0)
 			}
 			nxt := &code[pc+1]
@@ -551,7 +559,7 @@ func (vm *vmState) exec() {
 				src := mkPtr(rv.Obj, rv.off()+i, rv.TIdx)
 				vm.checkAccess(src, in.pos)
 				cell := &vm.objs[rv.Obj].cells[rv.off()+i]
-				if !cell.init {
+				if cell.init != cellSet {
 					vm.ub(ubUninitRead, in.pos, "copy of uninitialized struct field")
 				}
 				vm.store(mkPtr(lhs.Obj, lhs.off()+i, lhs.TIdx), cell.val, in.pos)
@@ -588,7 +596,7 @@ func (vm *vmState) exec() {
 				} else {
 					v = vm.p.consts[prm.zero]
 				}
-				vm.objs[h].cells[0] = vCell{val: v, init: true}
+				vm.objs[h].cells[0] = vCell{val: v, init: cellSet}
 				if prm.slot >= 0 {
 					nf.locals[prm.slot] = h
 				}
@@ -620,7 +628,7 @@ func (vm *vmState) exec() {
 			for pi := range fn2.params {
 				prm := &fn2.params[pi]
 				h := vm.alloc(prm.allocT, prm.name)
-				vm.objs[h].cells[0] = vCell{val: vm.p.consts[prm.zero], init: true}
+				vm.objs[h].cells[0] = vCell{val: vm.p.consts[prm.zero], init: cellSet}
 				if prm.slot >= 0 {
 					nf.locals[prm.slot] = h
 				}
@@ -687,15 +695,15 @@ func (vm *vmState) exec() {
 			v := vm.pop()
 			p := vm.top()
 			cv := vm.convertAt(v, in.a, in.pos)
-			vm.objs[p.Obj].cells[in.b] = vCell{val: cv, init: true}
+			vm.objs[p.Obj].cells[in.b] = vCell{val: cv, init: cellSet}
 
 		case opZeroFill:
 			p := vm.top()
 			zv := vm.p.consts[in.a]
 			cells := vm.objs[p.Obj].cells
 			for i := range cells {
-				if !cells[i].init {
-					cells[i] = vCell{val: zv, init: true}
+				if cells[i].init == cellUninit {
+					cells[i] = vCell{val: zv, init: cellSet}
 				}
 			}
 
@@ -704,7 +712,7 @@ func (vm *vmState) exec() {
 			zv := vm.p.consts[in.a]
 			cells := vm.objs[p.Obj].cells
 			for i := range cells {
-				cells[i] = vCell{val: zv, init: true}
+				cells[i] = vCell{val: zv, init: cellSet}
 			}
 
 		case opStaticBegin:
@@ -1137,7 +1145,7 @@ func (vm *vmState) readCString(v Value, posIdx int32) string {
 		}
 		vm.checkAccess(p, posIdx)
 		cell := &vm.objs[p.Obj].cells[p.off()]
-		if !cell.init {
+		if cell.init != cellSet && !vm.unmark(cell) {
 			vm.ub(ubUninitRead, posIdx, "string read")
 		}
 		ci := iOf(cell.val)

@@ -41,9 +41,9 @@ import "math"
 // A failed window doubles the next probe point. The switch loop (exec)
 // runs no detector and stays an independent reference.
 const (
-	firstProbe   = 4096 // steps before the first snapshot
-	probeWindow  = 2048 // steps a snapshot is watched for a recurrence
-	maxSnapCells = 1 << 14
+	firstProbe   = 4096    // steps before the first snapshot
+	probeWindow  = 2048    // steps a snapshot is watched for a recurrence
+	maxSnapCells = 1 << 14 // larger object states are not snapshotted
 )
 
 // Detector phases.
@@ -269,22 +269,21 @@ func (vm *vmState) unmarkCounters() {
 // execute, reporting false when the object state is too large to copy.
 func (vm *vmState) takeSnapshot(pc int32) bool {
 	s := &vm.loop.snap
-	n := 0
-	for h := 1; h <= vm.objUsed; h++ {
-		n += len(vm.objs[h].cells)
-	}
-	if n > maxSnapCells || vm.objUsed > maxSnapCells {
+	if vm.objUsed > maxSnapCells {
 		return false
+	}
+	s.cells, s.live = s.cells[:0], s.live[:0]
+	for h := 1; h <= vm.objUsed; h++ {
+		o := &vm.objs[h]
+		if len(s.cells)+len(o.cells) > maxSnapCells {
+			return false
+		}
+		s.cells = append(s.cells, o.cells...)
+		s.live = append(s.live, o.live)
 	}
 	s.fn, s.pc, s.steps = vm.tfn, pc, vm.steps
 	s.objUsed, s.nextID = vm.objUsed, vm.nextID
 	s.nout, s.exit, s.hasRet, s.retVal = len(vm.out), vm.exit, vm.hasRet, vm.retVal
-	s.cells, s.live = s.cells[:0], s.live[:0]
-	for h := 1; h <= vm.objUsed; h++ {
-		o := &vm.objs[h]
-		s.cells = append(s.cells, o.cells...)
-		s.live = append(s.live, o.live)
-	}
 	s.slots = append(s.slots[:0], vm.globals...)
 	s.slots = append(s.slots, vm.statics...)
 	s.slots = append(s.slots, vm.strObjs...)

@@ -26,6 +26,7 @@ func TestLoopDetector(t *testing.T) {
 		"counter-stored":                "none",
 		"block-local-per-iteration":     "none",
 		"counter-overflows":             "counter",
+		"counter-overflows-mid-period":  "counter",
 		"long-counter-underflows":       "counter",
 	}
 	if len(want) != len(loopPrograms) {
@@ -62,7 +63,7 @@ func TestLoopDetector(t *testing.T) {
 			if !got.Defined() || got.Output != "100000\n" {
 				t.Errorf("%s: want a defined run printing 100000, got %s", lp.name, resultFields(got))
 			}
-		case "counter-overflows", "long-counter-underflows":
+		case "counter-overflows", "counter-overflows-mid-period", "long-counter-underflows":
 			if got.UB == nil || got.UB.Kind != interp.UBSignedOverflow {
 				t.Errorf("%s: want signed-overflow UB, got %s", lp.name, resultFields(got))
 			}

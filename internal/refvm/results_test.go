@@ -119,6 +119,13 @@ int main() {
     for (;; a++) u[b] = 0.0;
     return 0;
 }`},
+	{"counter-overflows-mid-period", `
+double u[2];
+int main() {
+    int a = 2147453647, b = 0;
+    for (;;) { a++; a++; a--; u[b] = 0.0; }
+    return 0;
+}`},
 	{"long-counter-underflows", `
 int main() {
     long a = -9223372036854725807L;

@@ -1,6 +1,9 @@
 package refvm
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Loop detection. Skeletal enumeration fills a loop's condition and its
 // update with independent variables, as in `for (a = 0; b < 20; a++)`,
@@ -303,14 +306,14 @@ func (vm *vmState) sameShape() bool {
 		len(vm.pstates) != 0 || len(vm.frames) != len(s.frames) || len(vm.stack) != len(s.stack) {
 		return false
 	}
-	for i, v := range vm.stack {
-		if v != s.stack[i] {
-			return false
-		}
+	if !slices.Equal(vm.stack, s.stack) {
+		return false
 	}
+	// the slot tables of one program, and the locals of frames running
+	// the same functions, have the snapshot's lengths
 	slots := s.slots
 	for _, part := range [][]int32{vm.globals, vm.statics, vm.strObjs} {
-		if !equalSlots(part, slots) {
+		if !slices.Equal(part, slots[:len(part)]) {
 			return false
 		}
 		slots = slots[len(part):]
@@ -318,26 +321,13 @@ func (vm *vmState) sameShape() bool {
 	for i := range vm.frames {
 		fr, sf := &vm.frames[i], &s.frames[i]
 		if fr.fn != sf.fn || fr.retpc != sf.retpc || fr.callPos != sf.callPos ||
-			fr.want != sf.want || fr.isMain != sf.isMain || !equalSlots(fr.locals, slots) {
+			fr.want != sf.want || fr.isMain != sf.isMain || !slices.Equal(fr.locals, slots[:len(fr.locals)]) {
 			return false
 		}
 		slots = slots[len(fr.locals):]
 	}
 	for h := 1; h <= vm.objUsed; h++ {
 		if vm.objs[h].live != s.live[h-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// equalSlots reports whether a equals the len(a)-prefix of b.
-func equalSlots(a, b []int32) bool {
-	if len(b) < len(a) {
-		return false
-	}
-	for i, x := range a {
-		if x != b[i] {
 			return false
 		}
 	}

@@ -174,19 +174,17 @@ func BenchmarkCampaignWorkers1(b *testing.B) { benchmarkCampaign(b, 1) }
 
 func BenchmarkCampaignWorkersNumCPU(b *testing.B) { benchmarkCampaign(b, runtime.NumCPU()) }
 
-// benchmarkCampaignVariantsPerSec measures full-campaign throughput in
-// variants/sec through either pipeline flavor. Comparing the AST benchmark
-// with the Render one isolates the front-end cost inside the complete
-// differential pipeline; BenchmarkInstantiation* below isolates the
-// instantiation stage itself.
-func benchmarkCampaignVariantsPerSec(b *testing.B, renderPath, noReuse bool) {
+// BenchmarkCampaignVariantsAST measures full-campaign throughput in
+// variants/sec on the default hot path: AST-resident instantiation plus
+// pooled backends (the bytecode oracle and skeleton-keyed compiler IR
+// templates). BenchmarkInstantiation* below isolates the instantiation
+// stage itself.
+func BenchmarkCampaignVariantsAST(b *testing.B) {
 	cfg := campaign.Config{
 		Corpus:             corpus.Seeds(),
 		Versions:           []string{"trunk"},
 		MaxVariantsPerFile: 100,
 		Workers:            runtime.NumCPU(),
-		ForceRenderPath:    renderPath,
-		NoBackendReuse:     noReuse,
 	}
 	variants := 0
 	b.ResetTimer()
@@ -199,22 +197,6 @@ func benchmarkCampaignVariantsPerSec(b *testing.B, renderPath, noReuse bool) {
 	}
 	b.ReportMetric(float64(variants)/b.Elapsed().Seconds(), "variants/s")
 }
-
-// BenchmarkCampaignVariantsAST is the full hot path: AST-resident
-// instantiation plus pooled backends (interpreter machine reuse and
-// skeleton-keyed compiler IR templates) — the default configuration.
-func BenchmarkCampaignVariantsAST(b *testing.B) { benchmarkCampaignVariantsPerSec(b, false, false) }
-
-// BenchmarkCampaignVariantsNoReuse is the PR 3 baseline: AST-resident
-// instantiation but cold backends per variant. Comparing with
-// BenchmarkCampaignVariantsAST isolates what backend reuse buys.
-func BenchmarkCampaignVariantsNoReuse(b *testing.B) {
-	benchmarkCampaignVariantsPerSec(b, false, true)
-}
-
-// BenchmarkCampaignVariantsRender is the historical render+reparse
-// baseline (cold backends, text pipeline).
-func BenchmarkCampaignVariantsRender(b *testing.B) { benchmarkCampaignVariantsPerSec(b, true, true) }
 
 // benchmarkInstantiation measures the variant-preparation stage alone:
 // producing an analyzed program for each enumeration index of the seed

@@ -15,10 +15,8 @@
 //	spe campaign [-workers N] [-checkpoint path] [-variants N]
 //	             [-versions list] [-schedule fifo|coverage|region]
 //	             [-target-shard-ms N] [-curve] [-reduce] [-inter]
-//	             [-oracle tree|bytecode] [-dispatch threaded|switch]
-//	             [-oracle-batch=false] [-backend-dispatch threaded|switch]
-//	             [-backend-batch=false] [-paranoid] [-render-path]
-//	             [-backend-reuse=false] [-status-addr host:port]
+//	             [-dispatch threaded|switch] [-backend-dispatch threaded|switch]
+//	             [-paranoid] [-status-addr host:port]
 //	             [-progress 30s] [-cpuprofile path] [-memprofile path]
 //	             [-serve host:port | -connect host:port]
 //	             [-lease-timeout 30s] [-max-retries N]
@@ -42,34 +40,25 @@
 //	                                 backends (skeleton-compiled bytecode
 //	                                 reference oracle, reusable interpreter
 //	                                 machines, skeleton-keyed compiler IR
-//	                                 templates) — -oracle=tree restores the
-//	                                 tree-walking reference interpreter,
-//	                                 -dispatch=switch restores the bytecode
-//	                                 VM's monolithic opcode switch (the
-//	                                 default threaded engine dispatches
-//	                                 through a fused, specialized handler
-//	                                 table), -oracle-batch=false disables
-//	                                 batched shard execution (one oracle
-//	                                 VM checkout per shard instead of
-//	                                 per variant), -backend-dispatch=switch
-//	                                 restores the compiled-binary VM's
-//	                                 monolithic opcode switch (the default
-//	                                 threaded engine dispatches the fused
-//	                                 minicc IR through a handler table),
-//	                                 -backend-batch=false disables the
-//	                                 batched per-config compiler walk
-//	                                 inside batched shards,
-//	                                 -paranoid cross-checks every
-//	                                 instantiation against a fresh
-//	                                 render+reparse, every patched IR
-//	                                 template against a fresh lowering, and
-//	                                 every bytecode oracle verdict against
-//	                                 the tree-walker, -render-path restores
-//	                                 the historical text pipeline, and
-//	                                 -backend-reuse=false runs the backends
-//	                                 cold (all four keep reports
-//	                                 byte-identical); -status-addr serves
-//	                                 live telemetry over HTTP (/metrics in
+//	                                 templates) in one batched walk per
+//	                                 shard — -dispatch=switch restores the
+//	                                 bytecode VM's monolithic opcode switch
+//	                                 (the default threaded engine
+//	                                 dispatches through a fused,
+//	                                 specialized handler table),
+//	                                 -backend-dispatch=switch restores the
+//	                                 compiled-binary VM's monolithic opcode
+//	                                 switch (the default threaded engine
+//	                                 dispatches the fused minicc IR through
+//	                                 a handler table), and -paranoid
+//	                                 cross-checks every instantiation
+//	                                 against a fresh render+reparse, every
+//	                                 patched IR template against a fresh
+//	                                 lowering, and every bytecode oracle
+//	                                 verdict against the tree-walker (all
+//	                                 three keep reports byte-identical);
+//	                                 -status-addr serves live telemetry
+//	                                 over HTTP (/metrics in
 //	                                 Prometheus text format, /status as
 //	                                 JSON, /events as an SSE stream of
 //	                                 findings and coverage points, and
@@ -217,14 +206,9 @@ func campaignMain(args []string) error {
 	curve := fs.Bool("curve", false, "record and print the coverage-over-time curve to stderr (under fifo this enables coverage collection)")
 	reduce := fs.Bool("reduce", false, "delta-debug each finding's sample test case")
 	inter := fs.Bool("inter", false, "inter-procedural granularity")
-	oracle := fs.String("oracle", campaign.OracleBytecode, "reference oracle: bytecode (skeleton-compiled UB-checking bytecode VM) or tree (historical tree-walking interpreter); reports are byte-identical either way")
 	dispatch := fs.String("dispatch", campaign.DispatchThreaded, "bytecode oracle instruction dispatch: threaded (fused, specialized handler table) or switch (monolithic opcode switch); reports are byte-identical either way")
-	oracleBatch := fs.Bool("oracle-batch", true, "batch each shard's oracle runs on one checked-out VM, re-patching moved holes between runs (same report; disable as baseline or to bisect)")
 	backendDispatch := fs.String("backend-dispatch", campaign.BackendDispatchThreaded, "compiled-binary VM instruction dispatch: threaded (fused handler table) or switch (monolithic opcode switch); reports are byte-identical either way")
-	backendBatch := fs.Bool("backend-batch", true, "inside a batched shard, drain each compiler configuration over all clean variants through one batched walk (same report; disable as baseline or to bisect)")
-	paranoid := fs.Bool("paranoid", false, "cross-check every AST-instantiated variant against a fresh render+reparse, every patched IR template against a fresh lowering, and (with -oracle=bytecode) every bytecode oracle verdict against the tree-walking interpreter (debug mode; slower)")
-	renderPath := fs.Bool("render-path", false, "use the historical render+reparse pipeline instead of AST-resident instantiation (baseline; same report)")
-	backendReuse := fs.Bool("backend-reuse", true, "reuse pooled backend state across variants: interpreter machine pooling and skeleton-keyed compiler IR templates (same report; disable as baseline or to bisect)")
+	paranoid := fs.Bool("paranoid", false, "cross-check every AST-instantiated variant against a fresh render+reparse, every patched IR template against a fresh lowering, and every bytecode oracle verdict against the tree-walking interpreter (debug mode; slower)")
 	statusAddr := fs.String("status-addr", "", "serve live telemetry on this HTTP address (/metrics, /status, /events, /debug/pprof/); the report stays byte-identical")
 	progress := fs.Duration("progress", 0, "print a one-line progress ticker to stderr at this interval (0 = off)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this path")
@@ -235,12 +219,6 @@ func campaignMain(args []string) error {
 	maxRetries := fs.Int("max-retries", 3, "(with -serve) how many re-dispatches one shard may consume after expiries or worker failures before the campaign fails (-1 = unlimited)")
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
-	}
-	if *paranoid && *renderPath {
-		// the cross-check validates AST-resident instantiation; on the
-		// render path there is nothing to check, so reject the combination
-		// instead of silently ignoring -paranoid
-		return fmt.Errorf("-paranoid cross-checks the AST instantiation path and cannot be combined with -render-path")
 	}
 	if *serve != "" && *connect != "" {
 		return fmt.Errorf("-serve and -connect are mutually exclusive (one process is either the coordinator or a worker)")
@@ -348,14 +326,9 @@ func campaignMain(args []string) error {
 		Schedule:           *schedule,
 		TargetShardMillis:  *targetShardMs,
 		CoverageCurve:      *curve,
-		Oracle:             *oracle,
 		Dispatch:           *dispatch,
-		NoOracleBatch:      !*oracleBatch,
 		BackendDispatch:    *backendDispatch,
-		NoBackendBatch:     !*backendBatch,
 		Paranoid:           *paranoid,
-		ForceRenderPath:    *renderPath,
-		NoBackendReuse:     !*backendReuse,
 		Telemetry:          tel,
 	}
 	var rep *campaign.Report

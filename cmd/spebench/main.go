@@ -6,9 +6,8 @@
 //
 //	spebench [-quick] [-workers N] [-checkpoint path]
 //	         [-schedule fifo|coverage|region] [-target-shard-ms N]
-//	         [-oracle tree|bytecode] [-dispatch threaded|switch]
-//	         [-oracle-batch=false] [-backend-dispatch threaded|switch]
-//	         [-backend-batch=false] [-paranoid] [-bench-json path]
+//	         [-dispatch threaded|switch] [-backend-dispatch threaded|switch]
+//	         [-paranoid] [-bench-json path]
 //	         [-cpuprofile path] [-memprofile path]
 //	         [-status-addr host:port] [-progress 30s] [experiment...]
 //
@@ -20,29 +19,21 @@
 // experiments persist resumable progress, -schedule selects the shard
 // dispatch policy (coverage drains novel files first, region scores each
 // file's scheduling regions independently; tables are unaffected), and -target-shard-ms enables adaptive shard sizing.
-// -oracle selects the campaign reference engine (bytecode, the default
-// skeleton-compiled UB-checking VM, or tree, the historical tree-walking
-// interpreter; tables are identical either way — the oracle experiment
-// measures both regardless of the flag). -dispatch selects the bytecode
-// VM's instruction dispatch engine (threaded, the default fused and
-// specialized handler table, or switch, the monolithic opcode switch
-// baseline) and -oracle-batch=false disables batched shard execution;
-// tables are identical under any combination, and the oracle experiment
-// measures both axes regardless of the flags. -backend-dispatch selects
-// the compiled-binary minicc VM's dispatch engine the same way, and
-// -backend-batch=false disables the batched per-config compiler walk
-// inside batched shards; tables are identical under any combination, and
-// the backend experiment measures both axes regardless of the flags.
-// -paranoid cross-checks the
-// AST-resident instantiation per variant (render+reparse+binding
-// assertion; for the backend experiment it also checks every patched IR
-// template against a fresh lowering, and for the oracle experiment every
-// bytecode verdict against the tree-walker), and -bench-json makes the
-// variants, backend, and oracle experiments write their variants/sec
-// results (BENCH_variants.json, BENCH_backend.json, and BENCH_oracle.json
-// in CI); when a single invocation runs more than one experiment, the
-// experiment name is inserted before the extension so the results don't
-// overwrite each other.
+// -dispatch selects the bytecode oracle VM's instruction dispatch engine
+// (threaded, the default fused and specialized handler table, or switch,
+// the monolithic opcode switch baseline) and -backend-dispatch selects
+// the compiled-binary minicc VM's dispatch engine the same way; tables
+// are identical under any combination, and the oracle and backend
+// experiments measure both engines regardless of the flags. -paranoid
+// cross-checks every campaign variant (render+reparse+binding assertion
+// of the AST-resident instantiation, a fresh lowering against every
+// patched IR template, and the tree-walker against every bytecode
+// verdict), and -bench-json makes the variants, backend, and oracle
+// experiments write their variants/sec results (BENCH_variants.json,
+// BENCH_backend.json, and BENCH_oracle.json in CI); when a single
+// invocation runs more than one experiment, the experiment name is
+// inserted before the extension so the results don't overwrite each
+// other.
 // -cpuprofile and -memprofile write pprof profiles covering the whole
 // invocation (CPU profile over every experiment run; heap profile at
 // exit), so the next bottleneck hunt needs no ad-hoc patches.
@@ -90,12 +81,9 @@ func benchMain() int {
 	checkpoint := flag.String("checkpoint", "", "persist campaign progress to this path (campaign experiments only)")
 	schedule := flag.String("schedule", "", "campaign shard dispatch policy: fifo (default), coverage, or region; tables are identical either way")
 	targetShardMs := flag.Int("target-shard-ms", 0, "adaptive campaign shard sizing toward this duration (0 = fixed shards)")
-	oracle := flag.String("oracle", "", "campaign reference oracle: bytecode (default) or tree; tables are identical either way")
 	dispatch := flag.String("dispatch", "", "bytecode oracle instruction dispatch: threaded (default) or switch; tables are identical either way")
-	oracleBatch := flag.Bool("oracle-batch", true, "batch each campaign shard's oracle runs on one checked-out VM (disable as baseline; tables are identical either way)")
 	backendDispatch := flag.String("backend-dispatch", "", "compiled-binary minicc VM instruction dispatch: threaded (default) or switch; tables are identical either way")
-	backendBatch := flag.Bool("backend-batch", true, "drain each compiler configuration over a batched shard's clean variants in one walk (disable as baseline; tables are identical either way)")
-	paranoid := flag.Bool("paranoid", false, "cross-check the AST-resident instantiation per variant (render+reparse+binding assertion)")
+	paranoid := flag.Bool("paranoid", false, "cross-check every campaign variant: the AST-resident instantiation (render+reparse+binding assertion), each patched IR template against a fresh lowering, and each bytecode verdict against the tree-walker")
 	benchJSON := flag.String("bench-json", "", "write the variants experiment's result to this path as JSON")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this path")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
@@ -141,11 +129,8 @@ func benchMain() int {
 	scale.Workers = *workers
 	scale.Schedule = *schedule
 	scale.TargetShardMillis = *targetShardMs
-	scale.Oracle = *oracle
 	scale.Dispatch = *dispatch
-	scale.NoOracleBatch = !*oracleBatch
 	scale.BackendDispatch = *backendDispatch
-	scale.NoBackendBatch = !*backendBatch
 	scale.Paranoid = *paranoid
 	scale.Telemetry = tel
 	which := flag.Args()

@@ -9,14 +9,14 @@ package main
 import (
 	"fmt"
 
+	"spe/internal/campaign"
 	"spe/internal/corpus"
-	"spe/internal/harness"
 	"spe/internal/report"
 )
 
 func main() {
 	fmt.Println("hunting bugs in minicc-trunk with skeletons from the paper's figures...")
-	rep, err := harness.Run(harness.Config{
+	rep, err := campaign.Run(campaign.Config{
 		Corpus:             corpus.Seeds(),
 		Versions:           []string{"trunk"},
 		MaxVariantsPerFile: 300,

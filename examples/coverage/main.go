@@ -9,7 +9,7 @@ import (
 	"fmt"
 
 	"spe/internal/corpus"
-	"spe/internal/harness"
+	"spe/internal/experiments"
 )
 
 func main() {
@@ -17,7 +17,7 @@ func main() {
 	seeds = append(seeds, corpus.Generate(corpus.Config{N: 10, Seed: 99})...)
 	fmt.Printf("measuring minicc coverage over %d seed programs...\n\n", len(seeds))
 
-	rep, err := harness.CoverageExperiment(harness.CoverageConfig{
+	rep, err := experiments.CoverageExperiment(experiments.CoverageConfig{
 		Corpus:          seeds,
 		VariantsPerFile: 20,
 		PMLevels:        []int{10, 20, 30},

@@ -2,63 +2,11 @@ package campaign
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 
 	"spe/internal/corpus"
 )
-
-// TestASTPathMatchesRenderPath pins the tentpole equivalence: the
-// AST-resident hot path produces byte-identical reports to the historical
-// render→re-parse pipeline, across worker counts and both dispatch
-// schedules.
-func TestASTPathMatchesRenderPath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-campaign equivalence matrix; TestParanoidCrossCheckPasses covers the AST path in -short")
-	}
-	base := Config{
-		Corpus:             corpus.Seeds()[:6],
-		Versions:           []string{"trunk"},
-		MaxVariantsPerFile: 80,
-	}
-
-	render := base
-	render.ForceRenderPath = true
-	render.Workers = 1
-	ref, err := Run(render)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Findings) == 0 {
-		t.Fatal("render-path campaign found nothing; equivalence test is vacuous")
-	}
-
-	for _, tc := range []struct {
-		name     string
-		workers  int
-		schedule string
-	}{
-		{"sequential", 1, ScheduleFIFO},
-		{"parallel-fifo", 6, ScheduleFIFO},
-		{"parallel-coverage", 6, ScheduleCoverage},
-	} {
-		cfg := base
-		cfg.Workers = tc.workers
-		cfg.Schedule = tc.schedule
-		rep, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got, want := rep.Format(), ref.Format(); got != want {
-			t.Errorf("%s: AST-path report diverges from render path:\n--- ast ---\n%s--- render ---\n%s",
-				tc.name, got, want)
-		}
-		if !reflect.DeepEqual(rep.Findings, ref.Findings) {
-			t.Errorf("%s: findings differ structurally from render path", tc.name)
-		}
-	}
-}
 
 // TestParanoidCrossCheckPasses runs the campaign with the -paranoid
 // render+reparse cross-check asserting the instantiation invariants on
@@ -82,41 +30,6 @@ func TestParanoidCrossCheckPasses(t *testing.T) {
 	}
 	if rep.Format() != plain.Format() {
 		t.Errorf("paranoid report diverges:\n--- paranoid ---\n%s--- plain ---\n%s", rep.Format(), plain.Format())
-	}
-}
-
-// TestASTPathWithReductionMatchesRenderPath extends the equivalence through
-// the test-case reducer: reduced sample test cases must come out identical,
-// since the lazily rendered variant text is byte-identical to the
-// historical rendering.
-func TestASTPathWithReductionMatchesRenderPath(t *testing.T) {
-	base := Config{
-		Corpus:             corpus.Seeds()[:4],
-		Versions:           []string{"trunk"},
-		MaxVariantsPerFile: 60,
-		ReduceTestCases:    true,
-	}
-	render := base
-	render.ForceRenderPath = true
-	render.Workers = 1
-	ref, err := Run(render)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ast := base
-	ast.Workers = 4
-	rep, err := Run(ast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rep.Format(), ref.Format(); got != want {
-		t.Errorf("reduced AST-path report diverges:\n--- ast ---\n%s--- render ---\n%s", got, want)
-	}
-	for i := range ref.Findings {
-		if rep.Findings[i].TestCase != ref.Findings[i].TestCase {
-			t.Errorf("finding %d: reduced test case differs between paths:\n--- ast ---\n%s--- render ---\n%s",
-				i, rep.Findings[i].TestCase, ref.Findings[i].TestCase)
-		}
 	}
 }
 

@@ -11,38 +11,25 @@ import (
 
 // TestAttributionDeterminismGeneratedCorpus pins the Hooks()-order fix: on
 // a corpus where several seeded bugs can each explain the same wrong-code
-// symptom, attribution must be deterministic across runs and across the
-// pooled/cold backend flavors. (Before PR 4, BugSet.Hooks() iterated a map,
-// so the winning bug of an attribution tie was random per process.)
+// symptom, attribution must be deterministic across runs. (BugSet.Hooks()
+// once iterated a map, so the winning bug of an attribution tie was
+// random per process.)
 func TestAttributionDeterminismGeneratedCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-campaign determinism sweep")
 	}
 	progs := corpus.Seeds()
 	progs = append(progs, corpus.Generate(corpus.Config{N: 10, Seed: 20170618 + 2})...)
-	base := Config{
+	cfg := Config{
 		Corpus:             progs,
 		Versions:           []string{"trunk"},
 		Threshold:          -1,
 		MaxVariantsPerFile: 60,
 	}
-	cold := base
-	cold.NoBackendReuse = true
-	wantRep, err := Run(cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantRep.Format()
+	want := mustRun(t, cfg).Format()
 	for round := 0; round < 2; round++ {
-		for _, cfg := range []Config{base, cold} {
-			gotRep, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := gotRep.Format(); got != want {
-				t.Fatalf("round %d (reuse=%v): report diverges:\n--- got ---\n%s--- want ---\n%s",
-					round, !cfg.NoBackendReuse, got, want)
-			}
+		if got := mustRun(t, cfg).Format(); got != want {
+			t.Fatalf("round %d: report diverges:\n--- got ---\n%s--- want ---\n%s", round, got, want)
 		}
 	}
 }

@@ -9,24 +9,18 @@ import (
 	"time"
 )
 
-// These tests pin the speed-axis invariant of the compiled-binary backend
-// rework: campaign reports are byte-identical across -backend-dispatch
+// These tests pin the speed-axis invariant of the compiled-binary
+// backend: campaign reports are byte-identical across -backend-dispatch
 // threaded (the default fused handler-table minicc VM) and switch (the
-// monolithic opcode switch), and with the batched per-config shard walk on
-// and off (-backend-batch) — across worker counts and schedules, under
-// -paranoid, and through checkpoint/resume. The baseline is the
-// variant-outer, switch-dispatch shape (the PR 7 semantics), so every cell
-// is compared against it rather than against a sibling cell.
+// monolithic opcode switch) — across worker counts and schedules, under
+// -paranoid, and through checkpoint/resume. Each cell is compared
+// against the one-worker paranoid baseline, which checks every patched
+// compilation against a fresh lowering.
 
 // TestBackendDispatchEquivalenceMatrix is the full cross of backend
-// dispatch engine x per-config batching x schedule x workers against the
-// variant-outer switch baseline.
+// dispatch engine x schedule x workers against the paranoid baseline.
 func TestBackendDispatchEquivalenceMatrix(t *testing.T) {
-	base := backendBaseConfig()
-	base.Workers = 1
-	base.BackendDispatch = BackendDispatchSwitch
-	base.NoBackendBatch = true
-	want := mustRun(t, base).Format()
+	want := paranoidBaseline(t)
 
 	workerCounts := []int{1, 3}
 	schedules := []string{ScheduleFIFO, ScheduleCoverage}
@@ -37,61 +31,47 @@ func TestBackendDispatchEquivalenceMatrix(t *testing.T) {
 	for _, schedule := range schedules {
 		for _, workers := range workerCounts {
 			for _, dispatch := range []string{BackendDispatchThreaded, BackendDispatchSwitch} {
-				for _, noBatch := range []bool{false, true} {
-					cfg := backendBaseConfig()
-					cfg.Schedule = schedule
-					cfg.Workers = workers
-					cfg.BackendDispatch = dispatch
-					cfg.NoBackendBatch = noBatch
-					if got := mustRun(t, cfg).Format(); got != want {
-						t.Errorf("report diverges (schedule=%s workers=%d backend-dispatch=%s noBatch=%v):\n--- got ---\n%s--- baseline ---\n%s",
-							schedule, workers, dispatch, noBatch, got, want)
-					}
+				cfg := flavorBaseConfig()
+				cfg.Schedule = schedule
+				cfg.Workers = workers
+				cfg.BackendDispatch = dispatch
+				if got := mustRun(t, cfg).Format(); got != want {
+					t.Errorf("report diverges (schedule=%s workers=%d backend-dispatch=%s):\n--- got ---\n%s--- paranoid ---\n%s",
+						schedule, workers, dispatch, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestBackendDispatchParanoid runs both backend dispatch engines with
-// batching on under -paranoid, where every re-bound variant of the
-// config-outer walk carries the render+reparse and patched-IR
-// cross-checks; the report must still match the variant-outer baseline.
+// TestBackendDispatchParanoid runs both backend dispatch engines under
+// -paranoid, where every re-bound variant of the config-outer walk
+// carries the render+reparse and patched-IR cross-checks.
 func TestBackendDispatchParanoid(t *testing.T) {
-	base := backendBaseConfig()
-	base.Workers = 1
-	base.BackendDispatch = BackendDispatchSwitch
-	base.NoBackendBatch = true
-	want := mustRun(t, base).Format()
-
+	want := paranoidBaseline(t)
 	for _, dispatch := range []string{BackendDispatchThreaded, BackendDispatchSwitch} {
-		cfg := backendBaseConfig()
+		cfg := flavorBaseConfig()
 		cfg.BackendDispatch = dispatch
 		cfg.Paranoid = true
 		cfg.Workers = 2
 		if got := mustRun(t, cfg).Format(); got != want {
-			t.Errorf("paranoid report diverges (backend-dispatch=%s):\n--- got ---\n%s--- baseline ---\n%s",
+			t.Errorf("paranoid report diverges (backend-dispatch=%s):\n--- got ---\n%s--- paranoid ---\n%s",
 				dispatch, got, want)
 		}
 	}
 }
 
-// TestBackendDispatchResume kills a checkpointed switch-dispatch batched
-// campaign mid-run and asserts the resumed report matches the baseline:
-// the checkpoint embeds BackendDispatch in its config, and the
+// TestBackendDispatchResume kills a checkpointed switch-dispatch
+// campaign mid-run and asserts the resumed report matches the paranoid
+// baseline: the checkpoint embeds BackendDispatch in its config, and the
 // config-outer walk replays deterministically from the shard boundary.
 func TestBackendDispatchResume(t *testing.T) {
-	base := backendBaseConfig()
-	base.Workers = 2
-	base.CheckpointEvery = 1
-
-	baseline := base
-	baseline.BackendDispatch = BackendDispatchSwitch
-	baseline.NoBackendBatch = true
-	want := mustRun(t, baseline).Format()
+	want := paranoidBaseline(t)
 
 	path := filepath.Join(t.TempDir(), "backend-dispatch.ckpt.json")
-	cfg := base
+	cfg := flavorBaseConfig()
+	cfg.Workers = 2
+	cfg.CheckpointEvery = 1
 	cfg.BackendDispatch = BackendDispatchSwitch
 	cfg.CheckpointPath = path
 
@@ -129,13 +109,13 @@ func TestBackendDispatchResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := resumed.Format(); got != want {
-		t.Errorf("resumed switch-dispatch report diverges from baseline:\n--- resumed ---\n%s--- baseline ---\n%s", got, want)
+		t.Errorf("resumed switch-dispatch report diverges from paranoid baseline:\n--- resumed ---\n%s--- paranoid ---\n%s", got, want)
 	}
 }
 
 // TestBackendDispatchUnknownRejected pins the config validation.
 func TestBackendDispatchUnknownRejected(t *testing.T) {
-	cfg := backendBaseConfig()
+	cfg := flavorBaseConfig()
 	cfg.BackendDispatch = "quantum"
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("unknown backend dispatch accepted")

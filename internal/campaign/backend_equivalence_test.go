@@ -1,25 +1,23 @@
 package campaign
 
 import (
-	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"runtime"
+	"sync"
 	"testing"
-	"time"
 
 	"spe/internal/corpus"
 )
 
-// These tests pin the central invariant of backend reuse: campaign reports
-// are byte-identical with the pooled backends on (the default: interpreter
-// machine pooling + minicc IR-template caching) and off (NoBackendReuse,
-// every variant on cold state) — across worker counts, dispatch schedules,
-// and checkpoint/resume. The cold report is the PR 3 semantics, so these
-// tests are what licenses shipping reuse as the default.
+// The equivalence tests compare against a one-worker Paranoid run of the
+// same config rather than against a sibling cell. That run checks every
+// variant against the references the hot path replaces: each rebind's
+// sema invariants and a fresh parse of its rendering, each bytecode
+// oracle verdict against the tree-walking interpreter, and each patched
+// compilation against a fresh lowering. A report that matches it was
+// produced by a walk whose every verdict agreed with those references.
 
-func backendBaseConfig() Config {
+// flavorBaseConfig is the small-but-real campaign the dispatch and
+// shutdown tests share.
+func flavorBaseConfig() Config {
 	return Config{
 		Corpus:             corpus.Seeds()[:5],
 		Versions:           []string{"trunk"},
@@ -37,147 +35,68 @@ func mustRun(t *testing.T, cfg Config) *Report {
 	return rep
 }
 
-// TestBackendReuseEquivalence compares reuse on/off at several worker
-// counts under both schedules.
-func TestBackendReuseEquivalence(t *testing.T) {
-	cold := backendBaseConfig()
-	cold.NoBackendReuse = true
-	cold.Workers = 1
-	want := mustRun(t, cold).Format()
+// paranoidFormat runs cfg at one worker under Paranoid and returns its
+// report text, the baseline every equivalence cell is compared against.
+func paranoidFormat(cfg Config) (string, error) {
+	cfg.Workers = 1
+	cfg.Paranoid = true
+	rep, err := Run(cfg)
+	if err != nil {
+		return "", err
+	}
+	return rep.Format(), nil
+}
 
-	workerCounts := []int{1, 3, runtime.NumCPU() + 1}
-	if testing.Short() {
-		workerCounts = []int{3} // race CI: one parallel config per schedule
+var flavorBaseline struct {
+	once sync.Once
+	text string
+	err  error
+}
+
+// paranoidBaseline is the paranoid baseline of flavorBaseConfig, computed
+// once per test binary: the dispatch tests all compare against it.
+func paranoidBaseline(t *testing.T) string {
+	t.Helper()
+	flavorBaseline.once.Do(func() {
+		flavorBaseline.text, flavorBaseline.err = paranoidFormat(flavorBaseConfig())
+	})
+	if flavorBaseline.err != nil {
+		t.Fatal(flavorBaseline.err)
 	}
-	for _, schedule := range []string{ScheduleFIFO, ScheduleCoverage} {
-		for _, workers := range workerCounts {
-			cfg := backendBaseConfig()
-			cfg.Schedule = schedule
-			cfg.Workers = workers
-			if got := mustRun(t, cfg).Format(); got != want {
-				t.Errorf("reuse report diverges (schedule=%s workers=%d):\n--- reuse ---\n%s--- cold ---\n%s",
-					schedule, workers, got, want)
-			}
-		}
-	}
+	return flavorBaseline.text
 }
 
 // TestBackendReusePlusVersions widens the configuration matrix: several
 // compiler versions and the full -O ladder, where seeded frontend crashes
-// come and go per version — the replayed crash-check trace must track the
-// live bug set exactly.
+// come and go per version — the replayed crash-check trace of the pooled
+// IR templates must track the live bug set exactly, and wrong-code
+// attribution re-runs each reference verdict against selectively
+// deactivated bug sets, so any step-count or verdict drift would flip
+// attribution verdicts here.
 func TestBackendReusePlusVersions(t *testing.T) {
-	base := Config{
+	cfg := Config{
 		Corpus:             corpus.Seeds()[:3],
 		Versions:           []string{"4.8", "6.0", "trunk"},
 		MaxVariantsPerFile: 40,
 		Workers:            2,
 	}
-	cold := base
-	cold.NoBackendReuse = true
-	want := mustRun(t, cold).Format()
-	if got := mustRun(t, base).Format(); got != want {
-		t.Errorf("reuse report diverges across versions:\n--- reuse ---\n%s--- cold ---\n%s", got, want)
-	}
-}
-
-// TestBackendReuseParanoid runs the reuse path with -paranoid: every
-// template-derived lowering is cross-checked against a fresh Lower, every
-// rebind is invariant-checked, and the report must still match the cold
-// baseline.
-func TestBackendReuseParanoid(t *testing.T) {
-	cold := backendBaseConfig()
-	cold.NoBackendReuse = true
-	want := mustRun(t, cold).Format()
-
-	cfg := backendBaseConfig()
-	cfg.Paranoid = true
-	cfg.Workers = 2
-	if got := mustRun(t, cfg).Format(); got != want {
-		t.Errorf("paranoid reuse report diverges:\n--- paranoid ---\n%s--- cold ---\n%s", got, want)
-	}
-}
-
-// TestBackendReuseRenderPath pins that the -render-path baseline is also
-// unaffected by machine pooling (the IR cache is AST-path-only, but the
-// interpreter machine is reused on both paths).
-func TestBackendReuseRenderPath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("render-path flavor is covered unpooled by the ast-equivalence tests")
-	}
-	cold := backendBaseConfig()
-	cold.NoBackendReuse = true
-	cold.ForceRenderPath = true
-	want := mustRun(t, cold).Format()
-
-	cfg := backendBaseConfig()
-	cfg.ForceRenderPath = true
-	cfg.Workers = 2
-	if got := mustRun(t, cfg).Format(); got != want {
-		t.Errorf("render-path reuse report diverges:\n--- reuse ---\n%s--- cold ---\n%s", got, want)
-	}
-}
-
-// TestBackendReuseResume kills a reuse-enabled checkpointed campaign
-// mid-run and asserts the resumed report matches the cold uninterrupted
-// baseline: pooled backends hold no state a checkpoint would need.
-func TestBackendReuseResume(t *testing.T) {
-	base := backendBaseConfig()
-	base.Workers = 2
-	base.CheckpointEvery = 1
-
-	cold := base
-	cold.NoBackendReuse = true
-	want := mustRun(t, cold).Format()
-
-	path := filepath.Join(t.TempDir(), "backend.ckpt.json")
-	cfg := base
-	cfg.CheckpointPath = path
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			var ck checkpointFile
-			if json.Unmarshal(data, &ck) == nil && ck.NextSeq >= 3 {
-				cancel()
-				return
-			}
-		}
-	}()
-	if _, err := RunContext(ctx, cfg); err == nil {
-		t.Log("campaign completed before cancellation; resume still replays the tail")
-	}
-	cancel()
-	<-done
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("no checkpoint survived the kill: %v", err)
-	}
-	resumed, err := Resume(path)
+	want, err := paranoidFormat(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resumed.Format(); got != want {
-		t.Errorf("resumed reuse report diverges from cold baseline:\n--- resumed ---\n%s--- cold ---\n%s", got, want)
+	if got := mustRun(t, cfg).Format(); got != want {
+		t.Errorf("report diverges across versions:\n--- got ---\n%s--- paranoid ---\n%s", got, want)
 	}
 }
 
 // TestBackendReuseDirtyState is the campaign-level dirty-state regression
 // test: a corpus whose variants mutate globals, static locals, and heap
-// objects through pointers must report identically on pooled and cold
-// backends — any state leaking from variant N into variant N+1 through a
-// reused interpreter machine, VM slab, or patched IR template would show
-// up as diverging UB filtering or differential verdicts.
+// objects through pointers, recurse, and print. Under Paranoid every
+// variant's pooled verdicts are checked against fresh references, so any
+// state leaking from variant N into variant N+1 through a reused
+// interpreter machine, bytecode VM slab, frame, static slot, string
+// intern, or patched IR template aborts the campaign; one and four
+// workers must also agree.
 func TestBackendReuseDirtyState(t *testing.T) {
 	dirty := `
 int g = 1;
@@ -196,26 +115,20 @@ int main() {
     return g + h + a + b;
 }
 `
-	base := Config{
+	cfg := Config{
 		Corpus:             []string{dirty},
 		Versions:           []string{"trunk"},
 		Threshold:          -1, // the probe's canonical space is large by design
 		MaxVariantsPerFile: 120,
+		Paranoid:           true,
 		Workers:            1,
 	}
-	cold := base
-	cold.NoBackendReuse = true
-	want := mustRun(t, cold)
+	want := mustRun(t, cfg)
 	if want.Stats.VariantsClean == 0 {
 		t.Fatal("dirty-state corpus produced no clean variants; test is vacuous")
 	}
-	for _, workers := range []int{1, 4} {
-		cfg := base
-		cfg.Workers = workers
-		got := mustRun(t, cfg)
-		if got.Format() != want.Format() {
-			t.Errorf("workers=%d: dirty-state report diverges:\n--- reuse ---\n%s--- cold ---\n%s",
-				workers, got.Format(), want.Format())
-		}
+	cfg.Workers = 4
+	if got := mustRun(t, cfg).Format(); got != want.Format() {
+		t.Errorf("dirty-state report diverges at 4 workers:\n--- got ---\n%s--- workers=1 ---\n%s", got, want.Format())
 	}
 }

@@ -13,18 +13,17 @@ import (
 	"spe/internal/spe"
 )
 
-// Batched shard execution: instead of interleaving oracle and compiler
-// work per variant, an eligible shard first drains all of its oracle
-// verdicts through refvm.Cache.RunBatch on one checked-out VM — each
-// neighboring fill is rebound into the held instance and only the moved
-// hole sites are re-patched between runs — and then replays the compiler
-// configurations over the clean variants. The split keeps the oracle's
-// bytecode, handler tables, and slab hot in cache across the whole shard
-// and drops the per-variant template lookup.
+// The shard walk: instead of interleaving oracle and compiler work per
+// variant, a shard first drains all of its oracle verdicts through
+// refvm.Cache.RunBatch on one checked-out VM — each neighboring fill is
+// rebound into the held instance and only the moved hole sites are
+// re-patched between runs — and then replays the compiler configurations
+// over the clean variants. The split keeps the oracle's bytecode, handler
+// tables, and slab hot in cache across the whole shard and drops the
+// per-variant template lookup.
 //
-// Phase 2 is itself batched (unless NoBackendBatch): the configuration
-// loop moves outside the variant loop, and each (version, opt) pair
-// drains every clean variant in ascending order through
+// Phase 2 walks configurations in the outer loop: each (version, opt)
+// pair drains every clean variant in ascending order through
 // minicc.Cache.RunBatch. One compiler configuration's template trace,
 // pass pipeline, and fused VM state then stay hot across the whole
 // shard, and the per-run setup (bug-set resolution, template lookup) is
@@ -33,29 +32,20 @@ import (
 // Determinism: every loop walks the shard's enumeration indices in
 // ascending order (and configurations in the campaign's canonical
 // version-outer, opt-inner order), so the refvm patch sequence, the
-// minicc replay sequence, coverage recording, and symptom emission all
-// replay exactly what the interleaved path does. Attribution is keyed per
-// (version, opt, symptom class) and each variant passes its walk
-// position, so whichever loop order runs, the file's lowest-positioned
-// variant showing a key is the one whose verdict merges first. Reports are
-// byte-identical with batching on or off (pinned by the
-// dispatch-equivalence tests). Clean variants are re-instantiated per
-// phase and per configuration; instantiation is orders of magnitude
-// cheaper than a compile+execute, so the extra binds are noise next to
-// the locality won.
-
-// batchEligible reports whether a shard can take the batched oracle
-// path: the bytecode oracle serving the AST-resident pipeline with
-// pooled backends, and batching not disabled.
-func batchEligible(cfg Config, be *backendState) bool {
-	return cfg.Oracle == OracleBytecode && !cfg.ForceRenderPath &&
-		be != nil && !cfg.NoOracleBatch
-}
+// minicc replay sequence, coverage recording, and symptom emission are a
+// pure function of the task. Attribution is keyed per (version, opt,
+// symptom class) and each variant passes its walk position, so the
+// file's lowest-positioned variant showing a key is the one whose verdict
+// merges first. Clean variants are re-instantiated per phase and per
+// configuration; instantiation is orders of magnitude cheaper than a
+// compile+execute, so the extra binds are noise next to the locality
+// won.
 
 // runShardBatch processes one shard's enumerated variants through the
-// two-phase batched pipeline, appending to res.variants. The -paranoid
-// cross-checks (sema invariants per bind, tree-walker verdict per run)
-// ride inside phase 1, exactly as they wrap the interleaved path.
+// two-phase walk, appending to res.variants. The -paranoid cross-checks
+// ride inside it: sema invariants and a fresh parse per phase-1 bind, the
+// tree-walker's verdict per oracle run, and a fresh lowering per patched
+// compilation.
 func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, be *backendState, cov *minicc.Coverage, so *shardObs, res *taskResult) error {
 	n := int(t.toJ - t.fromJ)
 	idx := new(big.Int)
@@ -143,45 +133,6 @@ func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, b
 		return err
 	}
 
-	if cfg.NoBackendBatch {
-		// variant-outer fallback: one bind per clean variant, all compiler
-		// configurations interleaved through evalBackends — the benchmark
-		// baseline for the config-outer batched walk below
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			ref := refs[i]
-			vr := variantResult{}
-			if !ref.Defined() {
-				vr.status = statusUB
-				res.variants = append(res.variants, vr)
-				continue
-			}
-			vr.status = statusClean
-			setIdx(i)
-			if so != nil {
-				t0 = time.Now()
-			}
-			fill, _, err := space.FillDeltaAt(idx)
-			if err == nil {
-				err = in.Instantiate(fill)
-			}
-			if so != nil {
-				so.instNs += time.Since(t0).Nanoseconds()
-			}
-			if err != nil {
-				return wrap(i, err)
-			}
-			render := func() string { return cc.PrintFile(prog.File) }
-			if err := evalBackends(cfg, prog, holes, be, ref, render, &t.plan.attr, t.fromJ+int64(i), cov, so, &vr); err != nil {
-				return wrap(i, err)
-			}
-			res.variants = append(res.variants, vr)
-		}
-		return nil
-	}
-
 	// phase 2, config-outer: each (version, opt) pair drains all clean
 	// variants in ascending order through minicc.Cache.RunBatch, so one
 	// configuration's template trace and VM stay hot across the shard
@@ -224,7 +175,7 @@ func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, b
 					if err != nil {
 						return minicc.ExecConfig{}, err
 					}
-					return minicc.ExecConfig{MaxSteps: refs[i].Steps*20 + 50_000, Dispatch: cfg.BackendDispatch}, nil
+					return minicc.ExecConfig{MaxSteps: execSteps(refs[i]), Dispatch: cfg.BackendDispatch}, nil
 				}
 				yield := func(k int, ro *minicc.RunOutcome) error {
 					i := clean[k]

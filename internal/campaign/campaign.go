@@ -20,12 +20,12 @@
 // skeletons, analyzed template programs' symbols/scopes/types) are
 // immutable; everything a worker mutates is checked out for exclusive use
 // per shard task — a spe.Space (enumeration state + AST instances) and a
-// backendState (interp.Machine + minicc.Cache) from the file's pools.
-// Within a task the worker may reuse all of it across variants; across
-// tasks the pools recycle it. Nothing checked out is ever retained past
-// the task: results travel to the aggregator as plain values (symptom
-// records, rendered source strings), never as references into pooled
-// state.
+// backendState (interp.Machine, refvm.Cache, minicc.Cache) from the
+// file's pools. Within a task the worker may reuse all of it across
+// variants; across tasks the pools recycle it. Nothing checked out is
+// ever retained past the task: results travel to the aggregator as plain
+// values (symptom records, rendered source strings), never as references
+// into pooled state.
 package campaign
 
 import (
@@ -107,42 +107,18 @@ type Config struct {
 	// cost when nothing consumes the data; ScheduleCoverage and
 	// ScheduleRegion imply it.
 	CoverageCurve bool
-	// Paranoid cross-checks the AST-resident hot path on every variant:
-	// holes are rebound with the sema invariants asserted, and the typed
-	// program is rendered, re-parsed, re-analyzed, and required to bind
-	// every variable use to the same symbol the in-place instantiation
-	// chose. A divergence aborts the campaign with an error naming the
-	// variant. This is a debug/validation mode — it deliberately pays the
-	// full historical front-end cost per variant on top of the typed path.
-	// It checks the AST path only: combined with ForceRenderPath there is
-	// no instantiation to validate and the flag has no effect (cmd/spe
-	// rejects the combination).
+	// Paranoid cross-checks the hot path on every variant: holes are
+	// rebound with the sema invariants asserted, and the typed program is
+	// rendered, re-parsed, re-analyzed, and required to bind every variable
+	// use to the same symbol the in-place instantiation chose; every
+	// bytecode oracle verdict is checked against the tree-walking
+	// interpreter (stdout bytes, exit status, UB kind and position, step
+	// count); and every template-derived lowering is checked against a
+	// fresh Lower of the variant. A divergence aborts the campaign with an
+	// error naming the variant. This is a debug/validation mode — it
+	// deliberately pays the full front-end, tree-walker, and lowering cost
+	// per variant on top of the hot path.
 	Paranoid bool
-	// ForceRenderPath routes variants through the historical
-	// render→re-lex→re-parse→re-analyze pipeline instead of the
-	// AST-resident one. Reports are byte-identical either way (the
-	// equivalence tests pin this); the knob exists as the baseline for the
-	// variants/sec benchmark and for bisecting suspected instantiation
-	// bugs without -paranoid's double cost.
-	ForceRenderPath bool
-	// Oracle selects the reference-semantics engine that filters UB
-	// variants and supplies the expected output/exit for differential
-	// testing: OracleBytecode (the default) compiles each skeleton
-	// template once into internal/refvm's compact UB-checking bytecode
-	// and patches only the hole-fed sites per variant, OracleTree is the
-	// historical tree-walking interpreter. The two are observationally
-	// identical — same UB verdicts, output bytes, exit statuses, and step
-	// counts — so reports are byte-identical under either engine (pinned
-	// by the oracle-equivalence tests); the knob exists as the benchmark
-	// baseline and for bisecting suspected oracle bugs. The bytecode
-	// engine serves the AST-resident hot path; seed originals, the
-	// ForceRenderPath baseline, and the test-case reducer always use the
-	// tree-walker (a freshly parsed program has no template identity to
-	// key the bytecode cache on). Under Paranoid, every bytecode verdict
-	// is additionally cross-checked against the tree-walker per variant
-	// (stdout bytes, exit status, UB kind and position, step count) and a
-	// divergence aborts the campaign.
-	Oracle string
 	// Dispatch selects the bytecode oracle's instruction dispatch engine:
 	// DispatchThreaded (the default) executes through refvm's
 	// per-instruction function-pointer handler table, built at skeleton
@@ -152,19 +128,8 @@ type Config struct {
 	// verdicts, output bytes, exit statuses, and step counts, so reports
 	// are byte-identical either way (pinned by the dispatch-equivalence
 	// tests) — and the knob exists as the benchmark baseline and for
-	// bisecting suspected dispatch bugs. With Oracle set to OracleTree the
-	// engine selection is accepted but moot.
+	// bisecting suspected dispatch bugs.
 	Dispatch string
-	// NoOracleBatch disables batched shard execution. With batching on
-	// (the default, when the bytecode oracle serves the AST-resident path
-	// with pooled backends), a worker drains its whole shard through
-	// refvm.Cache.RunBatch on one checked-out VM — each neighboring fill is
-	// rebound into the instance and only the moved hole sites re-patched
-	// between runs — and then replays the compiler configurations over the
-	// clean variants. Reports are byte-identical either way (pinned by the
-	// dispatch-equivalence tests); the knob exists as the benchmark
-	// baseline and for bisecting suspected batching bugs.
-	NoOracleBatch bool
 	// BackendDispatch selects the minicc VM's instruction dispatch engine
 	// for the compiled binaries under test: BackendDispatchThreaded (the
 	// default) executes the superinstruction-fused IR through a per-opcode
@@ -176,16 +141,6 @@ type Config struct {
 	// exists as the benchmark baseline and for bisecting suspected
 	// dispatch bugs.
 	BackendDispatch string
-	// NoBackendBatch disables batched compiler execution inside a batched
-	// shard. With batching on (the default, whenever the shard takes the
-	// batched oracle path), phase 2 walks configurations in the outer loop:
-	// each (version, opt) pair drains every UB-free variant in ascending
-	// order through minicc.Cache.RunBatch, keeping one compiler
-	// configuration's template trace, pass pipeline, and VM state hot
-	// across the whole shard. Reports are byte-identical either way
-	// (pinned by the backend-dispatch-equivalence tests); the knob exists
-	// as the benchmark baseline and for bisecting suspected batching bugs.
-	NoBackendBatch bool
 	// Telemetry, when non-nil, streams live campaign vitals: per-stage
 	// timing splits, pool and cache hit rates, shard latency, coverage
 	// frontier growth, findings by class — served over HTTP by
@@ -196,19 +151,6 @@ type Config struct {
 	// checkpoints (a resume attaches a fresh instance via
 	// ResumeTelemetry).
 	Telemetry *Telemetry `json:"-"`
-	// NoBackendReuse disables the pooled execution backends: with reuse on
-	// (the default), each worker holds a reusable reference-interpreter
-	// machine (frames, environments, and memory objects reset instead of
-	// reallocated between variants) and a minicc backend cache (each
-	// skeleton template is lowered to IR once, per-variant compilations
-	// replay the recorded coverage/crash trace and patch only the IR sites
-	// the moved holes feed). Reports are byte-identical either way — the
-	// backend-equivalence tests pin reuse on/off across worker counts,
-	// schedules, and resume — so the knob exists as the benchmark baseline
-	// and for bisecting suspected reuse bugs. Under Paranoid, every
-	// template-derived lowering is additionally cross-checked against a
-	// fresh Lower of the variant.
-	NoBackendReuse bool
 }
 
 // Schedule values for Config.Schedule.
@@ -216,12 +158,6 @@ const (
 	ScheduleFIFO     = "fifo"
 	ScheduleCoverage = "coverage"
 	ScheduleRegion   = "region"
-)
-
-// Oracle values for Config.Oracle.
-const (
-	OracleTree     = "tree"
-	OracleBytecode = "bytecode"
 )
 
 // Dispatch values for Config.Dispatch (aliases of refvm's, so the flag
@@ -271,9 +207,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Schedule == "" {
 		c.Schedule = ScheduleFIFO
-	}
-	if c.Oracle == "" {
-		c.Oracle = OracleBytecode
 	}
 	if c.Dispatch == "" {
 		c.Dispatch = DispatchThreaded

@@ -320,3 +320,83 @@ func TestCheckpointMigrateV2(t *testing.T) {
 		t.Errorf("v2-resumed stats differ: %+v vs %+v", resumed.Stats, ref.Stats)
 	}
 }
+
+// TestCheckpointIgnoresRemovedConfigFields resumes a checkpoint whose
+// embedded Config carries the pipeline-flavor fields older builds wrote
+// (the tree oracle, the render path, cold backends, and both unbatched
+// walks). JSON decoding ignores keys the Config no longer has, so the
+// resumed campaign takes today's walk and must format byte-identically to
+// an uninterrupted run.
+func TestCheckpointIgnoresRemovedConfigFields(t *testing.T) {
+	want := paranoidBaseline(t) // the uninterrupted run of flavorBaseConfig
+
+	path := filepath.Join(t.TempDir(), "old.ckpt.json")
+	cfg := flavorBaseConfig()
+	cfg.CheckpointPath = path
+	eng, err := NewRemoteEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlanner(eng.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		spec, ok := eng.NextTask()
+		if !ok {
+			t.Fatalf("no task to lease at %d", i)
+		}
+		res, err := p.RunSpec(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Deliver(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := eng.MergedTasks(); got != 3 {
+		t.Fatalf("merged %d tasks before the checkpoint, want 3", got)
+	}
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var embedded map[string]json.RawMessage
+	if err := json.Unmarshal(doc["Config"], &embedded); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range map[string]string{
+		"Oracle":          `"tree"`,
+		"ForceRenderPath": "true",
+		"NoBackendReuse":  "true",
+		"NoOracleBatch":   "true",
+		"NoBackendBatch":  "true",
+	} {
+		embedded[k] = json.RawMessage(v)
+	}
+	if doc["Config"], err = json.Marshal(embedded); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, err := Resume(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resumed.Format(); got != want {
+		t.Errorf("resumed report diverges from uninterrupted run:\n--- resumed ---\n%s--- uninterrupted ---\n%s", got, want)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"spe/internal/cc"
 	"spe/internal/interp"
 	"spe/internal/minicc"
-	"spe/internal/refvm"
 )
 
 // The classification pipeline is split across the worker/aggregator
@@ -36,11 +35,10 @@ import (
 type variantStatus int
 
 const (
-	// statusParseFail marks a rendered variant the front end rejected — a
-	// bug in us. On the AST-resident hot path no per-variant parse happens,
-	// so this status can only arise from the original seed source, from
-	// ForceRenderPath, or from the -paranoid cross-check (which re-parses
-	// every variant and fails the campaign loudly on divergence).
+	// statusParseFail marks an original seed source the front end
+	// rejected — a bug in us, since the plan already parsed the same text.
+	// Enumerated variants are never parsed (the -paranoid cross-check
+	// re-parses each one and fails the campaign loudly on divergence).
 	statusParseFail variantStatus = iota
 	statusUB                      // filtered by the reference interpreter
 	statusClean
@@ -122,8 +120,8 @@ func (a *attrTable) claim(k attrKey, pos int64) bool {
 	return true
 }
 
-// symRec is one symptom observed by the batched shard path, tagged with
-// its variant slot. Records accumulate in arrival order and are
+// symRec is one symptom observed by the shard walk, tagged with its
+// variant slot. Records accumulate in arrival order and are
 // bucket-filled into a single shard-wide symptom arena afterwards (see
 // runShardBatch), replacing a per-symptomatic-variant slice allocation.
 type symRec struct {
@@ -131,13 +129,16 @@ type symRec struct {
 	s    symptom
 }
 
-// evalSource runs one variant given as source text: the historical
-// render→parse→analyze front end followed by evalProgram. It serves the
-// original seed programs (whose report text must stay the raw corpus
-// bytes) and the ForceRenderPath baseline. A freshly parsed program has no
-// stable identity to key the IR-template cache on, so only the interpreter
-// machine of be is reused here; compilation runs cold.
-func evalSource(cfg Config, src string, be *backendState, attr *attrTable, pos int64, cov *minicc.Coverage, so *shardObs) variantResult {
+// evalOriginal tests a file's unmodified seed program, walk position -1
+// (before every variant). The source is parsed fresh, since a finding's
+// test case must be the raw corpus bytes, and the program runs on the
+// references: the tree-walking oracle on the pooled machine, then a cold
+// compile per configuration (a freshly parsed program has no template
+// identity to key the bytecode or IR caches on). The source is attached
+// only when a symptom appears, like a variant's lazy render. cov records
+// the compiler instrumentation sites the program exercises; attribution
+// recompilations bypass it (see attributeWrongCode).
+func evalOriginal(cfg Config, src string, be *backendState, attr *attrTable, cov *minicc.Coverage, so *shardObs) variantResult {
 	file, err := cc.Parse(src)
 	if err != nil {
 		return variantResult{src: src}
@@ -146,95 +147,35 @@ func evalSource(cfg Config, src string, be *backendState, attr *attrTable, pos i
 	if err != nil {
 		return variantResult{src: src}
 	}
-	vr, _ := evalProgram(cfg, prog, nil, be, func() string { return src }, attr, pos, cov, so)
-	return vr
-}
-
-// evalProgram runs one analyzed variant through the reference interpreter
-// and all compiler configurations — the worker half of the old testVariant,
-// now consuming the typed program directly so the AST-resident hot path
-// skips the front end entirely. render supplies the variant's source on
-// demand; it is invoked at most once, and only when the variant exhibits a
-// symptom (the text becomes a finding's reproduction test case). attr is
-// the file's attribution table and pos the variant's walk position (see
-// classifyOutcome); cov records the compiler instrumentation sites the
-// variant exercises (recording is side-effect-free in minicc, so coverage
-// collection never perturbs the differential verdicts). Attribution
-// recompilations deliberately bypass the recorder: they re-run the same
-// program with bugs deactivated and would only blur the novelty signal.
-func evalProgram(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendState, render func() string, attr *attrTable, pos int64, cov *minicc.Coverage, so *shardObs) (variantResult, error) {
-	vr := variantResult{}
 	// stage timing exists only when telemetry is attached (so != nil): with
-	// telemetry off, no clock is read anywhere on the per-variant path
+	// telemetry off, no clock is read
 	var t0 time.Time
 	if so != nil {
 		t0 = time.Now()
 	}
-	ref, err := referenceRun(cfg, prog, holes, be, so)
+	ref := be.mach.Run(prog, interp.Config{MaxSteps: cfg.Steps})
 	if so != nil {
 		so.oracleNs += time.Since(t0).Nanoseconds()
 	}
-	if err != nil {
-		return vr, err
-	}
 	if !ref.Defined() {
-		vr.status = statusUB
-		return vr, nil
+		return variantResult{status: statusUB}
 	}
-	vr.status = statusClean
-	if err := evalBackends(cfg, prog, holes, be, ref, render, attr, pos, cov, so, &vr); err != nil {
-		return vr, err
-	}
-	return vr, nil
-}
-
-// evalBackends is the compiler half of evalProgram: it runs one clean
-// variant through every (version, optimization level) configuration and
-// classifies each divergence from the oracle verdict ref into vr's
-// symptoms. It serves the interleaved per-variant path (evalProgram); the
-// batched shard path walks the same configurations config-outer through
-// minicc.Cache.RunBatch instead (runShardBatch) with byte-identical
-// results. Stage timing splits compile+execute (backend) from
-// classification and attribution (classify), so /status shows where a
-// configuration's time actually goes.
-func evalBackends(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendState, ref *interp.Result, render func() string, attr *attrTable, pos int64, cov *minicc.Coverage, so *shardObs, vr *variantResult) error {
-	// the compiled binary needs only a small multiple of the reference's
-	// step count; a much larger consumption is already a hang symptom, so
-	// an adaptive budget keeps miscompiled infinite loops cheap to detect
-	execSteps := ref.Steps*20 + 50_000
-	var t0 time.Time
+	vr := variantResult{status: statusClean}
+	ecfg := minicc.ExecConfig{MaxSteps: execSteps(ref), Dispatch: cfg.BackendDispatch}
 	for _, ver := range cfg.Versions {
 		for _, opt := range cfg.OptLevels {
 			vr.executions++
-			comp := &minicc.Compiler{Version: ver, Opt: opt, Seeded: true, Coverage: cov}
 			if so != nil {
 				t0 = time.Now()
 			}
-			ecfg := minicc.ExecConfig{MaxSteps: execSteps, Dispatch: cfg.BackendDispatch}
-			var ro *minicc.RunOutcome
-			if be != nil && holes != nil {
-				// template-cached backend: the skeleton was lowered once,
-				// this variant replays the trace and patches the moved
-				// holes' IR sites; under -paranoid each patched lowering is
-				// checked against a fresh Lower and a divergence aborts the
-				// campaign
-				cached, err := comp.RunCached(be.cache, prog, holes, ecfg, cfg.Paranoid)
-				if err != nil {
-					return err
-				}
-				ro = cached
-			} else {
-				ro = comp.Run(prog, ecfg)
-			}
+			ro := (&minicc.Compiler{Version: ver, Opt: opt, Seeded: true, Coverage: cov}).Run(prog, ecfg)
 			if so != nil {
 				now := time.Now()
 				so.backendNs += now.Sub(t0).Nanoseconds()
 				t0 = now
 			}
-			if s, found := classifyOutcome(cfg, ver, opt, ref, ro, prog, attr, pos, so); found {
-				if vr.src == "" {
-					vr.src = render()
-				}
+			if s, found := classifyOutcome(cfg, ver, opt, ref, ro, prog, attr, -1, so); found {
+				vr.src = src
 				vr.symptoms = append(vr.symptoms, s)
 			}
 			if so != nil {
@@ -242,44 +183,15 @@ func evalBackends(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendSt
 			}
 		}
 	}
-	return nil
+	return vr
 }
 
-// referenceRun obtains the variant's reference semantics from the
-// configured oracle. The bytecode engine serves the AST-resident hot path
-// (it keys its template cache on the analyzed program's identity and the
-// skeleton's hole metadata); evalSource callers pass nil holes and always
-// get the tree-walker. With backend reuse off, the bytecode oracle
-// compiles fresh per variant — still the bytecode semantics, cold — so
-// reuse on/off stays byte-identical under either oracle. Under Paranoid,
-// the bytecode verdict is cross-checked against the tree-walker and a
-// divergence aborts the campaign with an error naming the difference.
-func referenceRun(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendState, so *shardObs) (*interp.Result, error) {
-	runTree := func() *interp.Result {
-		if be != nil {
-			// pooled machine: frames/objects/environments reset, not reallocated
-			return be.mach.Run(prog, interp.Config{MaxSteps: cfg.Steps})
-		}
-		return interp.Run(prog, interp.Config{MaxSteps: cfg.Steps})
-	}
-	if cfg.Oracle != OracleBytecode || holes == nil {
-		return runTree(), nil
-	}
-	var ref *interp.Result
-	if be != nil {
-		ref = be.ref.Run(prog, holes, refvm.Config{MaxSteps: cfg.Steps, Dispatch: cfg.Dispatch})
-	} else {
-		ref = refvm.Run(prog, refvm.Config{MaxSteps: cfg.Steps, Dispatch: cfg.Dispatch})
-	}
-	if cfg.Paranoid {
-		if so != nil {
-			so.paranoidChecks++
-		}
-		if err := crossCheckOracle(runTree(), ref); err != nil {
-			return nil, err
-		}
-	}
-	return ref, nil
+// execSteps is the step budget of a compiled binary whose reference run
+// took ref.Steps: it needs only a small multiple of the reference's step
+// count, and a much larger consumption is already a hang symptom, so the
+// adaptive budget keeps miscompiled infinite loops cheap to detect.
+func execSteps(ref *interp.Result) int64 {
+	return ref.Steps*20 + 50_000
 }
 
 // crossCheckOracle is the -paranoid assertion for the bytecode oracle:
@@ -389,7 +301,7 @@ func attributeWrongCode(prog *cc.Program, ver string, opt int, ref *interp.Resul
 	for _, hook := range full.Hooks() {
 		reduced := full.Without(hook)
 		comp := &minicc.Compiler{Version: ver, Opt: opt, Bugs: reduced}
-		ro := comp.Run(prog, minicc.ExecConfig{MaxSteps: ref.Steps*20 + 50_000, Dispatch: cfg.BackendDispatch})
+		ro := comp.Run(prog, minicc.ExecConfig{MaxSteps: execSteps(ref), Dispatch: cfg.BackendDispatch})
 		if !ro.Compile.Ok() {
 			continue
 		}

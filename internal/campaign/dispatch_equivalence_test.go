@@ -9,22 +9,18 @@ import (
 	"time"
 )
 
-// These tests pin the dispatch/batching invariant of the bytecode oracle
-// rework: campaign reports are byte-identical across -dispatch=threaded
-// (the default handler-table engine), -dispatch=switch (the original
-// monolithic switch), and -oracle-batch on/off (batched shard execution
-// vs per-variant template runs) — across worker counts and schedules,
-// under -paranoid, and through checkpoint/resume. The tree-walking
-// oracle's report is the ground truth, so each cell is compared against
-// it rather than against a sibling cell.
+// These tests pin the dispatch invariant of the bytecode oracle:
+// campaign reports are byte-identical across -dispatch=threaded (the
+// default handler-table engine) and -dispatch=switch (the monolithic
+// switch) — across worker counts and schedules, under -paranoid, and
+// through checkpoint/resume. Each cell is compared against the one-worker
+// paranoid baseline, which checks every bytecode verdict against the
+// tree-walking interpreter.
 
 // TestDispatchEquivalenceMatrix is the full cross of dispatch engine x
-// batching x schedule x workers against the tree baseline.
+// schedule x workers against the paranoid baseline.
 func TestDispatchEquivalenceMatrix(t *testing.T) {
-	tree := oracleBaseConfig()
-	tree.Oracle = OracleTree
-	tree.Workers = 1
-	want := mustRun(t, tree).Format()
+	want := paranoidBaseline(t)
 
 	workerCounts := []int{1, 3}
 	schedules := []string{ScheduleFIFO, ScheduleCoverage}
@@ -35,62 +31,47 @@ func TestDispatchEquivalenceMatrix(t *testing.T) {
 	for _, schedule := range schedules {
 		for _, workers := range workerCounts {
 			for _, dispatch := range []string{DispatchThreaded, DispatchSwitch} {
-				for _, noBatch := range []bool{false, true} {
-					cfg := oracleBaseConfig()
-					cfg.Oracle = OracleBytecode
-					cfg.Schedule = schedule
-					cfg.Workers = workers
-					cfg.Dispatch = dispatch
-					cfg.NoOracleBatch = noBatch
-					if got := mustRun(t, cfg).Format(); got != want {
-						t.Errorf("report diverges (schedule=%s workers=%d dispatch=%s noBatch=%v):\n--- bytecode ---\n%s--- tree ---\n%s",
-							schedule, workers, dispatch, noBatch, got, want)
-					}
+				cfg := flavorBaseConfig()
+				cfg.Schedule = schedule
+				cfg.Workers = workers
+				cfg.Dispatch = dispatch
+				if got := mustRun(t, cfg).Format(); got != want {
+					t.Errorf("report diverges (schedule=%s workers=%d dispatch=%s):\n--- got ---\n%s--- paranoid ---\n%s",
+						schedule, workers, dispatch, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestDispatchParanoid runs the switch engine and the batched default
-// under -paranoid, where every variant's bytecode verdict is re-checked
-// against a tree run in-line. The batched path cross-checks inside the
-// RunBatch yield, so this exercises that plumbing specifically.
+// TestDispatchParanoid runs both dispatch engines under -paranoid, where
+// every variant's bytecode verdict is re-checked against a tree run
+// in-line inside the RunBatch yield.
 func TestDispatchParanoid(t *testing.T) {
-	tree := oracleBaseConfig()
-	tree.Oracle = OracleTree
-	tree.Workers = 1
-	want := mustRun(t, tree).Format()
-
+	want := paranoidBaseline(t)
 	for _, dispatch := range []string{DispatchThreaded, DispatchSwitch} {
-		cfg := oracleBaseConfig()
-		cfg.Oracle = OracleBytecode
+		cfg := flavorBaseConfig()
 		cfg.Dispatch = dispatch
 		cfg.Paranoid = true
 		cfg.Workers = 2
 		if got := mustRun(t, cfg).Format(); got != want {
-			t.Errorf("paranoid report diverges (dispatch=%s):\n--- bytecode ---\n%s--- tree ---\n%s",
+			t.Errorf("paranoid report diverges (dispatch=%s):\n--- got ---\n%s--- paranoid ---\n%s",
 				dispatch, got, want)
 		}
 	}
 }
 
-// TestDispatchResume kills a checkpointed switch-dispatch batched
-// campaign mid-run and asserts the resumed report matches the tree
-// baseline: the checkpoint embeds Dispatch in its config, and the
-// batched shard loop replays deterministically from the shard boundary.
+// TestDispatchResume kills a checkpointed switch-dispatch campaign
+// mid-run and asserts the resumed report matches the paranoid baseline:
+// the checkpoint embeds Dispatch in its config, and the shard walk
+// replays deterministically from the shard boundary.
 func TestDispatchResume(t *testing.T) {
-	base := oracleBaseConfig()
-	base.Workers = 2
-	base.CheckpointEvery = 1
-
-	tree := base
-	tree.Oracle = OracleTree
-	want := mustRun(t, tree).Format()
+	want := paranoidBaseline(t)
 
 	path := filepath.Join(t.TempDir(), "dispatch.ckpt.json")
-	cfg := base
-	cfg.Oracle = OracleBytecode
+	cfg := flavorBaseConfig()
+	cfg.Workers = 2
+	cfg.CheckpointEvery = 1
 	cfg.Dispatch = DispatchSwitch
 	cfg.CheckpointPath = path
 
@@ -128,13 +109,13 @@ func TestDispatchResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := resumed.Format(); got != want {
-		t.Errorf("resumed switch-dispatch report diverges from tree baseline:\n--- resumed ---\n%s--- tree ---\n%s", got, want)
+		t.Errorf("resumed switch-dispatch report diverges from paranoid baseline:\n--- resumed ---\n%s--- paranoid ---\n%s", got, want)
 	}
 }
 
 // TestDispatchUnknownRejected pins the config validation.
 func TestDispatchUnknownRejected(t *testing.T) {
-	cfg := oracleBaseConfig()
+	cfg := flavorBaseConfig()
 	cfg.Dispatch = "quantum"
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("unknown dispatch accepted")

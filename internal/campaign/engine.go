@@ -11,7 +11,6 @@ import (
 
 	"spe/internal/cc"
 	"spe/internal/minicc"
-	"spe/internal/spe"
 )
 
 // Run executes a campaign with the configured worker pool.
@@ -132,8 +131,9 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 		}
 	}()
 
-	// worker pool: each task renders its shard's variants by unranking
-	// their enumeration indices and runs the full differential pipeline
+	// worker pool: each task instantiates its shard's variants by
+	// unranking their enumeration indices and runs the full differential
+	// pipeline
 	for w := 0; w < cfg.Workers; w++ {
 		senders.Add(1)
 		go func() {
@@ -242,19 +242,13 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 // steers by. The recorder is lenient so site-registry drift surfaces as a
 // campaign error instead of a panicking worker.
 //
-// The per-variant work is AST-resident: the worker checks a Space out of
-// the file's pool, and each enumeration index patches the Space's pooled
-// template clone in place (Space.ProgramAt), so no variant is ever
-// re-lexed, re-parsed, or re-analyzed. Source text is rendered lazily,
-// only when a variant exhibits a symptom (to become a finding's test case)
-// or when the -paranoid cross-check demands it. ForceRenderPath restores
-// the historical render→re-parse pipeline for baselining.
-//
-// Alongside the Space, the worker checks out a backendState: the reference
-// interpreter resets pooled machine state instead of reallocating it per
-// variant, and minicc compiles through the file's IR-template cache (lower
-// once per skeleton, patch the hole-dependent IR sites per fill). With
-// Config.NoBackendReuse both backends run cold, byte-identically.
+// The worker checks a Space and a backendState out of the file's pools.
+// The file's original program, on the file's first task, runs first
+// (evalOriginal); the shard's enumerated variants then take the one
+// batched walk (runShardBatch): each enumeration index patches the
+// Space's pooled template clone in place, so no variant is ever re-lexed,
+// re-parsed, or re-analyzed, and source text is rendered only when a
+// variant exhibits a symptom or the -paranoid cross-check demands it.
 func runTask(ctx context.Context, cfg Config, t *task) *taskResult {
 	res := &taskResult{seq: t.seq, plan: t.plan, newFile: t.newFile, region: t.region}
 	if t.plan.skip {
@@ -265,54 +259,24 @@ func runTask(ctx context.Context, cfg Config, t *task) *taskResult {
 	if cfg.collectCoverage() {
 		cov = minicc.NewLenientCoverage()
 	}
-	var be *backendState
-	if t.plan.backends != nil {
-		be = t.plan.backends.Get()
-		defer t.plan.backends.Put(be)
-	}
+	be := t.plan.backends.Get()
+	defer t.plan.backends.Put(be)
 	// shard-local telemetry accumulator: plain ints touched on the variant
 	// path, folded into the shared atomics once at merge. nil (and therefore
 	// completely absent from the hot path) when telemetry is off.
 	var so *shardObs
 	if cfg.Telemetry != nil {
-		so = &shardObs{}
-		if be != nil {
-			so.miniccBase = be.cache.Stats()
-			so.refvmBase = be.ref.Stats()
-		}
+		so = &shardObs{miniccBase: be.cache.Stats(), refvmBase: be.ref.Stats()}
 	}
-	// the original program sits at walk position -1, before every variant
 	if t.includeOriginal {
-		res.variants = append(res.variants, evalSource(cfg, t.plan.src, be, &t.plan.attr, -1, cov, so))
+		res.variants = append(res.variants, evalOriginal(cfg, t.plan.src, be, &t.plan.attr, cov, so))
 	}
 	if t.toJ > t.fromJ {
 		space := t.plan.pool.Get()
 		defer t.plan.pool.Put(space)
-		if batchEligible(cfg, be) {
-			// batched shard path: all oracle verdicts first on one
-			// checked-out VM, then the compiler configurations over the
-			// clean variants — same ascending order, byte-identical report
-			if err := runShardBatch(ctx, cfg, t, space, be, cov, so, res); err != nil {
-				res.err = err
-				return res
-			}
-		} else {
-			idx := new(big.Int)
-			stride := big.NewInt(t.plan.stride)
-			for j := t.fromJ; j < t.toJ; j++ {
-				if ctx.Err() != nil {
-					res.err = ctx.Err()
-					return res
-				}
-				idx.SetInt64(j)
-				idx.Mul(idx, stride)
-				vr, err := runVariant(cfg, space, be, idx, &t.plan.attr, j, cov, so)
-				if err != nil {
-					res.err = fmt.Errorf("campaign: corpus[%d] variant %d: %w", t.plan.seedIdx, j, err)
-					return res
-				}
-				res.variants = append(res.variants, vr)
-			}
+		if err := runShardBatch(ctx, cfg, t, space, be, cov, so, res); err != nil {
+			res.err = err
+			return res
 		}
 	}
 	if err := cov.Err(); err != nil {
@@ -320,61 +284,14 @@ func runTask(ctx context.Context, cfg Config, t *task) *taskResult {
 		return res
 	}
 	if so != nil {
-		if be != nil {
-			so.minicc = be.cache.Stats().Sub(so.miniccBase)
-			so.refvm = be.ref.Stats().Sub(so.refvmBase)
-		}
+		so.minicc = be.cache.Stats().Sub(so.miniccBase)
+		so.refvm = be.ref.Stats().Sub(so.refvmBase)
 		res.obs = so
 	}
 	res.sites = cov.Snapshot()
 	res.elapsedNs = time.Since(start).Nanoseconds()
 	res.ranVariants = len(res.variants)
 	return res
-}
-
-// runVariant evaluates the variant at one enumeration index, walk
-// position pos, through the configured pipeline flavor.
-func runVariant(cfg Config, space *spe.Space, be *backendState, idx *big.Int, attr *attrTable, pos int64, cov *minicc.Coverage, so *shardObs) (variantResult, error) {
-	var t0 time.Time
-	if so != nil {
-		t0 = time.Now()
-	}
-	if cfg.ForceRenderPath {
-		src, err := space.RenderAt(idx)
-		if so != nil {
-			so.instNs += time.Since(t0).Nanoseconds()
-		}
-		if err != nil {
-			return variantResult{}, err
-		}
-		return evalSource(cfg, src, be, attr, pos, cov, so), nil
-	}
-	in, release, err := space.AcquireAt(idx)
-	if so != nil {
-		so.instNs += time.Since(t0).Nanoseconds()
-	}
-	if err != nil {
-		return variantResult{}, err
-	}
-	defer release()
-	prog := in.Program()
-	rendered := ""
-	if cfg.Paranoid {
-		if so != nil {
-			so.paranoidChecks++
-		}
-		rendered = cc.PrintFile(prog.File)
-		if err := crossCheckVariant(prog, rendered); err != nil {
-			return variantResult{}, err
-		}
-	}
-	render := func() string {
-		if rendered != "" {
-			return rendered
-		}
-		return cc.PrintFile(prog.File)
-	}
-	return evalProgram(cfg, prog, in.HoleIdents(), be, render, attr, pos, cov, so)
 }
 
 // crossCheckVariant is the -paranoid equivalence assertion: the typed

@@ -16,10 +16,10 @@ import (
 )
 
 // backendState is the per-worker-checkout bundle of reusable execution
-// backends: a pooled reference-interpreter machine (tree oracle and
-// paranoid cross-checks), the bytecode-oracle cache (skeleton-keyed
-// bytecode templates + pooled VM, the default reference engine), and the
-// minicc backend cache (IR templates + VM state). Like a spe.Space, a
+// backends: a pooled tree-walking interpreter machine (the originals'
+// oracle and the paranoid cross-checks), the bytecode-oracle cache
+// (skeleton-keyed bytecode templates + pooled VM), and the minicc backend
+// cache (IR templates + VM state). Like a spe.Space, a
 // backendState is single-goroutine between a Get and its Put; workers
 // check one out per shard task, so machines, templates, and slabs
 // amortize across every variant a worker drains from one file.
@@ -93,8 +93,7 @@ type filePlan struct {
 	// checks out a private spe.Space (ranker memo tables + AST template
 	// instances) and returns it when its shard completes.
 	pool *spe.Pool
-	// backends pools the per-worker execution backends the same way (nil
-	// when Config.NoBackendReuse disables reuse).
+	// backends pools the per-worker execution backends the same way.
 	backends *backendPool
 	// attr is the file's wrong-code attribution table, shared by every
 	// shard of the file that runs in this process.
@@ -180,9 +179,7 @@ func buildPlan(cfg Config, seedIdx int, src string) (*filePlan, error) {
 		return nil, fmt.Errorf("campaign: corpus[%d]: %w", seedIdx, err)
 	}
 	plan.pool.CheckedRebind = cfg.Paranoid
-	if !cfg.NoBackendReuse {
-		plan.backends = newBackendPool()
-	}
+	plan.backends = newBackendPool()
 	budget := cfg.MaxVariantsPerFile
 	if budget <= 0 {
 		// a non-positive budget exhausts itself on the first enumerated

@@ -66,7 +66,7 @@ func findingPredicate(fd *Finding, ver string, opt int, cfg Config) reduce.Predi
 			if !ref.Defined() {
 				return false // a reduction must stay UB-free to count
 			}
-			ro := comp.Run(prog, minicc.ExecConfig{MaxSteps: ref.Steps*20 + 50_000})
+			ro := comp.Run(prog, minicc.ExecConfig{MaxSteps: execSteps(ref)})
 			return ro.Compile.Ok() && !matchesOracle(ro.Exec, ref)
 		}
 	}

@@ -96,10 +96,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("campaign: unknown schedule %q (want %q, %q, or %q)",
 			c.Schedule, ScheduleFIFO, ScheduleCoverage, ScheduleRegion)
 	}
-	if c.Oracle != OracleTree && c.Oracle != OracleBytecode {
-		return fmt.Errorf("campaign: unknown oracle %q (want %q or %q)",
-			c.Oracle, OracleTree, OracleBytecode)
-	}
 	if c.Dispatch != DispatchThreaded && c.Dispatch != DispatchSwitch {
 		return fmt.Errorf("campaign: unknown dispatch %q (want %q or %q)",
 			c.Dispatch, DispatchThreaded, DispatchSwitch)

@@ -20,12 +20,11 @@ import (
 // write) and asserts the shutdown path left a resumable checkpoint whose
 // continuation matches the uninterrupted baseline.
 func TestShutdownCheckpointsMergedPrefix(t *testing.T) {
-	base := oracleBaseConfig()
-	base.Workers = 2
-	want := mustRun(t, base).Format()
+	want := paranoidBaseline(t)
 
 	path := filepath.Join(t.TempDir(), "shutdown.ckpt.json")
-	cfg := base
+	cfg := flavorBaseConfig()
+	cfg.Workers = 2
 	cfg.CheckpointPath = path
 	cfg.CheckpointEvery = 1 << 20 // periodic checkpoints never fire
 
@@ -70,7 +69,7 @@ func TestShutdownCheckpointsMergedPrefix(t *testing.T) {
 // without a checkpoint path keeps the old contract: a prompt error, no
 // stray files.
 func TestShutdownWithoutCheckpointPathStillErrors(t *testing.T) {
-	cfg := oracleBaseConfig()
+	cfg := flavorBaseConfig()
 	cfg.Workers = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

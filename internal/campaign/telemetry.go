@@ -62,7 +62,6 @@ type Telemetry struct {
 	refvmFallbacks       *obs.Counter
 	refvmThreadedRuns    *obs.Counter
 	refvmSwitchRuns      *obs.Counter
-	refvmBatchRuns       *obs.Counter
 	refvmBatches         *obs.Counter
 	refvmCycleSkips      *obs.Counter
 	refvmCounterSkips    *obs.Counter
@@ -139,14 +138,13 @@ func NewTelemetry() *Telemetry {
 		miniccThreadedRuns:   reg.Counter("spe_minicc_runs_total", "Compiled-binary executions by instruction dispatch engine.", obs.L("dispatch", "threaded")),
 		miniccSwitchRuns:     reg.Counter("spe_minicc_runs_total", "Compiled-binary executions by instruction dispatch engine.", obs.L("dispatch", "switch")),
 		miniccBatchRuns:      reg.Counter("spe_minicc_batch_runs_total", "Compiled-binary executions served inside a batched per-config shard walk."),
-		miniccBatches:        reg.Counter("spe_minicc_batches_total", "Batched per-config shard walks (one RunBatch per configuration per eligible shard)."),
+		miniccBatches:        reg.Counter("spe_minicc_batches_total", "Batched per-config shard walks (one RunBatch per configuration per shard)."),
 		refvmCompiles:        reg.Counter("spe_refvm_template_compiles_total", "refvm bytecode templates compiled (once per skeleton per cache)."),
 		refvmPatchRuns:       reg.Counter("spe_refvm_patch_runs_total", "Oracle runs served by patching moved holes in cached bytecode."),
 		refvmFallbacks:       reg.Counter("spe_refvm_fallbacks_total", "Oracle runs that fell back to a fresh bytecode compilation."),
 		refvmThreadedRuns:    reg.Counter("spe_refvm_runs_total", "Oracle runs by instruction dispatch engine.", obs.L("dispatch", "threaded")),
 		refvmSwitchRuns:      reg.Counter("spe_refvm_runs_total", "Oracle runs by instruction dispatch engine.", obs.L("dispatch", "switch")),
-		refvmBatchRuns:       reg.Counter("spe_refvm_batch_runs_total", "Oracle runs served inside a batched shard execution."),
-		refvmBatches:         reg.Counter("spe_refvm_batches_total", "Batched shard executions (one RunBatch per eligible shard)."),
+		refvmBatches:         reg.Counter("spe_refvm_batches_total", "Batched shard oracle walks (one RunBatch per shard)."),
 		refvmCycleSkips:      reg.Counter("spe_refvm_loop_skips_total", "Step-limited oracle runs the loop detector cut short, by proof.", obs.L("proof", "cycle")),
 		refvmCounterSkips:    reg.Counter("spe_refvm_loop_skips_total", "Step-limited oracle runs the loop detector cut short, by proof.", obs.L("proof", "counter")),
 
@@ -278,7 +276,6 @@ func (t *Telemetry) campaignStarted(cfg Config, all []*task, startSeq int) {
 		"resumed_variants": resumed,
 		"workers":          cfg.Workers,
 		"schedule":         cfg.Schedule,
-		"oracle":           cfg.Oracle,
 	})
 }
 
@@ -346,7 +343,6 @@ func (t *Telemetry) observeMerge(r *taskResult) {
 		t.refvmFallbacks.Add(so.refvm.Fallbacks)
 		t.refvmThreadedRuns.Add(so.refvm.ThreadedRuns)
 		t.refvmSwitchRuns.Add(so.refvm.SwitchRuns)
-		t.refvmBatchRuns.Add(so.refvm.BatchRuns)
 		t.refvmBatches.Add(so.refvm.Batches)
 		t.refvmCycleSkips.Add(so.refvm.CycleSkips)
 		t.refvmCounterSkips.Add(so.refvm.CounterSkips)

@@ -6,103 +6,78 @@ import (
 	"os"
 	"time"
 
+	"spe/internal/campaign"
 	"spe/internal/corpus"
-	"spe/internal/harness"
 )
 
 // BackendBenchResult is the machine-readable outcome of the backend
-// benchmark (emitted as BENCH_backend.json by cmd/spebench). Where the
-// variants experiment isolates the front end (instantiation), this one
-// measures the per-variant cost of the execution backends — the reference
-// interpreter and the minicc compile+run pipeline — with pooled,
-// template-cached state versus the cold-per-variant baseline, plus the
-// minicc VM's own speed axes: threaded dispatch over fused IR versus the
-// monolithic opcode switch, and the batched per-config shard walk versus
-// the variant-outer interleaving.
+// benchmark (emitted as BENCH_backend.json by cmd/spebench): full-campaign
+// throughput with the compiled-binary minicc VM under threaded dispatch
+// over fused IR versus the monolithic opcode switch, both on the pooled,
+// template-cached backends every campaign runs.
 type BackendBenchResult struct {
 	Workers int `json:"workers"`
 	Files   int `json:"files"`
-	// full differential campaign throughput, pooled backends vs cold
-	CampaignVariants int     `json:"campaign_variants"`
-	ColdVPS          float64 `json:"campaign_cold_variants_per_sec"`
-	ReuseVPS         float64 `json:"campaign_reuse_variants_per_sec"`
-	Speedup          float64 `json:"campaign_reuse_speedup"`
-	// backend execution axes: switch dispatch (batching on) and per-config
-	// batching off (threaded), both against the pooled default
+	// full differential campaign throughput; the reuse figure is the
+	// default engine (threaded dispatch), the switch figure its baseline
+	CampaignVariants       int     `json:"campaign_variants"`
+	ReuseVPS               float64 `json:"campaign_reuse_variants_per_sec"`
 	BackendSwitchVPS       float64 `json:"campaign_backend_switch_dispatch_variants_per_sec"`
-	BackendNoBatchVPS      float64 `json:"campaign_backend_nobatch_variants_per_sec"`
 	BackendThreadedSpeedup float64 `json:"campaign_backend_threaded_dispatch_speedup"`
-	BackendBatchSpeedup    float64 `json:"campaign_backend_batch_speedup"`
-	// ReportsIdentical confirms every backend reuse/dispatch/batching
-	// combination produced byte-identical reports; ParanoidChecked
-	// additionally confirms a reuse campaign passed the per-variant
-	// paranoid cross-checks (render+reparse+binding assertion and
-	// patched-IR vs fresh-lowering).
+	// ReportsIdentical confirms both dispatch engines produced
+	// byte-identical reports; ParanoidChecked additionally confirms a
+	// campaign passed the per-variant paranoid cross-checks
+	// (render+reparse+binding assertion and patched-IR vs fresh-lowering)
+	// with the same report.
 	ReportsIdentical bool `json:"reports_identical"`
 	ParanoidChecked  bool `json:"paranoid_checked"`
 }
 
-// BackendBench measures full-campaign variants/sec with backend reuse on
-// and off — the reuse engine additionally under both minicc dispatch
-// engines and with per-config batching on and off — and cross-checks
-// report equivalence across every combination. When scale.BenchJSON is
-// set the result is also written there as JSON.
+// BackendBench measures full-campaign variants/sec under both minicc
+// dispatch engines and cross-checks their reports; with scale.Paranoid it
+// also runs a -paranoid campaign. When scale.BenchJSON is set the result
+// is also written there as JSON.
 func BackendBench(scale Scale) (string, error) {
 	scale = scale.withDefaults()
 	progs := corpus.Seeds()
 	progs = append(progs, corpus.Generate(corpus.Config{N: scale.CampaignCorpus, Seed: scale.Seed + 2})...)
 	res := &BackendBenchResult{Workers: scale.Workers, Files: len(progs)}
 
-	campaign := func(noReuse bool, backendDispatch string, noBackendBatch, paranoid bool) (*harness.Report, float64, error) {
-		cfg := harness.Config{
+	run := func(backendDispatch string, paranoid bool) (*campaign.Report, float64, error) {
+		cfg := campaign.Config{
 			Corpus:             progs,
 			Versions:           []string{"trunk"},
 			Threshold:          -1,
 			MaxVariantsPerFile: scale.MaxVariants,
 			Workers:            scale.Workers,
-			NoBackendReuse:     noReuse,
 			BackendDispatch:    backendDispatch,
-			NoBackendBatch:     noBackendBatch,
 			Paranoid:           paranoid,
 			Telemetry:          scale.Telemetry,
 		}
 		start := time.Now()
-		rep, err := harness.Run(cfg)
+		rep, err := campaign.Run(cfg)
 		return rep, time.Since(start).Seconds(), err
 	}
 
-	coldRep, coldSec, err := campaign(true, "", false, false)
+	reuseRep, reuseSec, err := run("", false)
 	if err != nil {
-		return "", fmt.Errorf("experiments: backend: cold campaign: %w", err)
+		return "", fmt.Errorf("experiments: backend: threaded campaign: %w", err)
 	}
-	reuseRep, reuseSec, err := campaign(false, "", false, false)
-	if err != nil {
-		return "", fmt.Errorf("experiments: backend: reuse campaign: %w", err)
-	}
-	switchRep, switchSec, err := campaign(false, "switch", false, false)
+	switchRep, switchSec, err := run(campaign.BackendDispatchSwitch, false)
 	if err != nil {
 		return "", fmt.Errorf("experiments: backend: switch-dispatch campaign: %w", err)
 	}
-	noBatchRep, noBatchSec, err := campaign(false, "", true, false)
-	if err != nil {
-		return "", fmt.Errorf("experiments: backend: no-batch campaign: %w", err)
-	}
 	res.CampaignVariants = reuseRep.Stats.Variants
-	res.ColdVPS = float64(coldRep.Stats.Variants) / coldSec
 	res.ReuseVPS = float64(reuseRep.Stats.Variants) / reuseSec
 	res.BackendSwitchVPS = float64(switchRep.Stats.Variants) / switchSec
-	res.BackendNoBatchVPS = float64(noBatchRep.Stats.Variants) / noBatchSec
-	res.Speedup = res.ReuseVPS / res.ColdVPS
 	res.BackendThreadedSpeedup = res.ReuseVPS / res.BackendSwitchVPS
-	res.BackendBatchSpeedup = res.ReuseVPS / res.BackendNoBatchVPS
 	base := reuseRep.Format()
-	res.ReportsIdentical = coldRep.Format() == base &&
-		switchRep.Format() == base && noBatchRep.Format() == base
+	res.ReportsIdentical = switchRep.Format() == base
 	if !res.ReportsIdentical {
-		return "", fmt.Errorf("experiments: backend: report diverges across reuse/dispatch/batch modes")
+		return "", fmt.Errorf("experiments: backend: report diverges across dispatch engines")
 	}
 	if scale.Paranoid {
-		paranoidRep, _, err := campaign(false, "", false, true)
+		paranoidRep, _, err := run("", true)
 		if err != nil {
 			return "", fmt.Errorf("experiments: backend: paranoid cross-check: %w", err)
 		}
@@ -122,15 +97,11 @@ func BackendBench(scale Scale) (string, error) {
 		}
 	}
 
-	out := "Backend throughput: pooled interp/minicc state vs cold per-variant backends\n"
+	out := "Backend throughput: compiled-binary minicc VM, threaded vs switch dispatch\n"
 	out += fmt.Sprintf("  corpus: %d files, %d campaign variants (workers=%d)\n",
 		res.Files, res.CampaignVariants, res.Workers)
-	out += fmt.Sprintf("  full campaign: cold %8.0f variants/s | reuse %8.0f variants/s | speedup %.2fx\n",
-		res.ColdVPS, res.ReuseVPS, res.Speedup)
-	out += fmt.Sprintf("  dispatch: switch %8.0f variants/s | threaded speedup %.2fx\n",
-		res.BackendSwitchVPS, res.BackendThreadedSpeedup)
-	out += fmt.Sprintf("  batching: off    %8.0f variants/s | batch speedup    %.2fx\n",
-		res.BackendNoBatchVPS, res.BackendBatchSpeedup)
+	out += fmt.Sprintf("  full campaign: threaded %8.0f variants/s | switch %8.0f variants/s | threaded speedup %.2fx\n",
+		res.ReuseVPS, res.BackendSwitchVPS, res.BackendThreadedSpeedup)
 	out += fmt.Sprintf("  reports byte-identical: %v, paranoid cross-check: %v\n",
 		res.ReportsIdentical, res.ParanoidChecked)
 	return out, nil

@@ -16,7 +16,6 @@ import (
 	"spe/internal/campaign"
 	"spe/internal/cc"
 	"spe/internal/corpus"
-	"spe/internal/harness"
 	"spe/internal/minicc"
 	"spe/internal/report"
 	"spe/internal/skeleton"
@@ -27,7 +26,7 @@ import (
 // file) so benchmarks and the CLI can trade time for fidelity.
 type Scale struct {
 	CorpusFiles       int // synthetic corpus size (default 150)
-	MaxVariants       int // harness variants per file (default 200)
+	MaxVariants       int // campaign variants per file (default 200)
 	CoverageFiles     int // files in the coverage experiment (default 25)
 	CoverageVars      int // SPE variants per file for coverage (default 20)
 	Seed              int64
@@ -46,37 +45,22 @@ type Scale struct {
 	// TargetShardMillis enables the campaign engine's adaptive shard
 	// sizing (0 = fixed shards).
 	TargetShardMillis int
-	// Oracle selects the campaign reference engine ("" = bytecode, the
-	// skeleton-compiled UB-checking bytecode VM; "tree" = the historical
-	// tree-walking interpreter). Tables are identical under either.
-	Oracle string
 	// Dispatch selects the bytecode oracle's instruction dispatch engine
 	// ("" = threaded, the fused and specialized handler table; "switch" =
 	// the monolithic opcode switch baseline). Tables are identical under
 	// either.
 	Dispatch string
-	// NoOracleBatch disables the campaign's batched shard execution (one
-	// oracle VM checkout per shard); the baseline knob. Tables are
-	// identical either way.
-	NoOracleBatch bool
 	// BackendDispatch selects the minicc VM's instruction dispatch engine
 	// for the compiled binaries under test ("" = threaded, the fused
 	// handler table; "switch" = the monolithic opcode switch baseline).
 	// Tables are identical under either.
 	BackendDispatch string
-	// NoBackendBatch disables the campaign's batched per-config compiler
-	// walk inside batched shards; the baseline knob. Tables are identical
-	// either way.
-	NoBackendBatch bool
-	// Paranoid enables the campaign engine's per-variant render+reparse
-	// cross-check of the AST-resident instantiation (campaign.Config.
-	// Paranoid) and, under the bytecode oracle, the per-variant
-	// tree-vs-bytecode verdict cross-check; tables are identical,
-	// campaigns just pay the extra checks.
+	// Paranoid enables the campaign engine's per-variant cross-checks
+	// (campaign.Config.Paranoid: render+reparse of each instantiation,
+	// the tree-walker against each bytecode verdict, a fresh lowering
+	// against each patched compilation); tables are identical, campaigns
+	// just pay the extra checks.
 	Paranoid bool
-	// ForceRenderPath routes campaigns through the historical
-	// render→re-parse pipeline (the variants/sec baseline).
-	ForceRenderPath bool
 	// BenchJSON, when non-empty, makes VariantsBench write its result
 	// there as JSON (the CI artifact BENCH_variants.json).
 	BenchJSON string
@@ -298,14 +282,14 @@ func Figure8(scale Scale) (string, error) {
 
 // Campaign runs the bug-hunting campaign used by Tables 3 and 4 and
 // Figure 10.
-func Campaign(scale Scale, versions []string) (*harness.Report, error) {
+func Campaign(scale Scale, versions []string) (*campaign.Report, error) {
 	scale = scale.withDefaults()
 	progs := corpus.Seeds()
 	progs = append(progs, corpus.Generate(corpus.Config{N: scale.CampaignCorpus, Seed: scale.Seed + 1})...)
 	// the campaign is budgeted per file by MaxVariants rather than by the
 	// paper's 10K skip-threshold (which models their fixed compute budget;
 	// our cap achieves the same bound while still sampling large files)
-	return harness.Run(harness.Config{
+	return campaign.Run(campaign.Config{
 		Corpus:             progs,
 		Versions:           versions,
 		Threshold:          -1,
@@ -314,13 +298,9 @@ func Campaign(scale Scale, versions []string) (*harness.Report, error) {
 		CheckpointPath:     scale.Checkpoint,
 		Schedule:           scale.Schedule,
 		TargetShardMillis:  scale.TargetShardMillis,
-		Oracle:             scale.Oracle,
 		Dispatch:           scale.Dispatch,
-		NoOracleBatch:      scale.NoOracleBatch,
 		BackendDispatch:    scale.BackendDispatch,
-		NoBackendBatch:     scale.NoBackendBatch,
 		Paranoid:           scale.Paranoid,
-		ForceRenderPath:    scale.ForceRenderPath,
 		Telemetry:          scale.Telemetry,
 	})
 }
@@ -351,7 +331,7 @@ func Table3(scale Scale) (string, error) {
 }
 
 // Table4 reproduces the bug-overview table from a trunk campaign.
-func Table4(scale Scale) (string, *harness.Report, error) {
+func Table4(scale Scale) (string, *campaign.Report, error) {
 	rep, err := Campaign(scale, []string{"trunk"})
 	if err != nil {
 		return "", nil, err
@@ -451,7 +431,7 @@ func Figure9(scale Scale) (string, error) {
 	if len(progs) > scale.CoverageFiles {
 		progs = progs[:scale.CoverageFiles]
 	}
-	rep, err := harness.CoverageExperiment(harness.CoverageConfig{
+	rep, err := CoverageExperiment(CoverageConfig{
 		Corpus:          progs,
 		VariantsPerFile: scale.CoverageVars,
 		PMLevels:        []int{10, 20, 30},

@@ -119,7 +119,7 @@ func TestOracleBenchSmoke(t *testing.T) {
 	if !res.ReportsIdentical || !res.ParanoidChecked {
 		t.Errorf("oracle bench result not verified: %+v", res)
 	}
-	if res.BytecodeVPS <= 0 || res.TreeVPS <= 0 {
+	if res.BytecodeVPS <= 0 || res.SwitchVPS <= 0 {
 		t.Errorf("oracle bench recorded no throughput: %+v", res)
 	}
 }

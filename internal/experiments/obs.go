@@ -11,7 +11,6 @@ import (
 
 	"spe/internal/campaign"
 	"spe/internal/corpus"
-	"spe/internal/harness"
 	"spe/internal/obs"
 )
 
@@ -61,7 +60,7 @@ func ObsBench(scale Scale) (string, error) {
 	progs = append(progs, corpus.Generate(corpus.Config{N: scale.CampaignCorpus, Seed: scale.Seed + 4})...)
 	res := &ObsBenchResult{Workers: scale.Workers, Files: len(progs), Rounds: obsBenchRounds}
 
-	baseCfg := harness.Config{
+	baseCfg := campaign.Config{
 		Corpus:             progs,
 		Versions:           []string{"trunk"},
 		Threshold:          -1,
@@ -73,7 +72,7 @@ func ObsBench(scale Scale) (string, error) {
 	for round := 0; round < obsBenchRounds; round++ {
 		// telemetry off: the plain campaign
 		start := time.Now()
-		rep, err := harness.Run(baseCfg)
+		rep, err := campaign.Run(baseCfg)
 		if err != nil {
 			return "", fmt.Errorf("experiments: obs: off campaign: %w", err)
 		}
@@ -129,7 +128,7 @@ func ObsBench(scale Scale) (string, error) {
 // (250ms) cadences are already 25-100x more aggressive than any real
 // deployment (Prometheus defaults to 15s scrapes, -progress to 30s), so
 // the measured overhead is a conservative bound.
-func obsCampaign(cfg harness.Config, res *ObsBenchResult) (*harness.Report, float64, error) {
+func obsCampaign(cfg campaign.Config, res *ObsBenchResult) (*campaign.Report, float64, error) {
 	tel := campaign.NewTelemetry()
 	srv, err := obs.Serve("127.0.0.1:0", tel.Handler())
 	if err != nil {
@@ -170,7 +169,7 @@ func obsCampaign(cfg harness.Config, res *ObsBenchResult) (*harness.Report, floa
 
 	cfg.Telemetry = tel
 	start := time.Now()
-	rep, err := harness.Run(cfg)
+	rep, err := campaign.Run(cfg)
 	elapsed := time.Since(start).Seconds()
 	close(stopScrape)
 	<-scrapeDone

@@ -6,101 +6,76 @@ import (
 	"os"
 	"time"
 
+	"spe/internal/campaign"
 	"spe/internal/corpus"
-	"spe/internal/harness"
 )
 
 // OracleBenchResult is the machine-readable outcome of the oracle
-// benchmark (emitted as BENCH_oracle.json by cmd/spebench). Where the
-// backend experiment measured pooled-vs-cold execution state (PR 4), this
-// one measures the reference oracle itself along three axes: the
-// tree-walking UB-checking interpreter versus the skeleton-compiled
-// bytecode VM, the bytecode VM's threaded (fused, specialized handler
-// table) dispatch versus the monolithic opcode switch, and batched shard
-// execution versus a per-variant VM checkout.
+// benchmark (emitted as BENCH_oracle.json by cmd/spebench): full-campaign
+// throughput with the bytecode reference VM under threaded dispatch
+// (fused, specialized handler table) versus the monolithic opcode switch.
 type OracleBenchResult struct {
 	Workers int `json:"workers"`
 	Files   int `json:"files"`
-	// full differential campaign throughput along the oracle axes; the
-	// bytecode figure is the default engine (threaded dispatch, batching)
+	// full differential campaign throughput; the bytecode figure is the
+	// default engine (threaded dispatch), the switch figure its baseline
 	CampaignVariants int     `json:"campaign_variants"`
-	TreeVPS          float64 `json:"campaign_tree_variants_per_sec"`
 	BytecodeVPS      float64 `json:"campaign_bytecode_variants_per_sec"`
-	Speedup          float64 `json:"campaign_bytecode_speedup"`
-	// baselines: switch dispatch (batching on) and batching off (threaded)
-	SwitchVPS       float64 `json:"campaign_switch_dispatch_variants_per_sec"`
-	NoBatchVPS      float64 `json:"campaign_nobatch_variants_per_sec"`
-	ThreadedSpeedup float64 `json:"campaign_threaded_dispatch_speedup"`
-	BatchSpeedup    float64 `json:"campaign_batch_speedup"`
-	// ReportsIdentical confirms every engine/dispatch/batching combination
-	// produced byte-identical reports; ParanoidChecked additionally
-	// confirms a bytecode campaign passed the per-variant tree-vs-bytecode
-	// verdict cross-check.
+	SwitchVPS        float64 `json:"campaign_switch_dispatch_variants_per_sec"`
+	ThreadedSpeedup  float64 `json:"campaign_threaded_dispatch_speedup"`
+	// ReportsIdentical confirms both dispatch engines produced
+	// byte-identical reports; ParanoidChecked additionally confirms a
+	// campaign passed the per-variant tree-vs-bytecode verdict
+	// cross-check with the same report.
 	ReportsIdentical bool `json:"reports_identical"`
 	ParanoidChecked  bool `json:"paranoid_checked"`
 }
 
-// OracleBench measures full-campaign variants/sec with the tree-walking
-// and bytecode reference oracles — the latter under both dispatch engines
-// and with batching on and off — and cross-checks report equivalence
-// across every combination. When scale.BenchJSON is set the result is
-// also written there as JSON.
+// OracleBench measures full-campaign variants/sec under both bytecode
+// dispatch engines and cross-checks their reports; with scale.Paranoid it
+// also runs a -paranoid campaign. When scale.BenchJSON is set the result
+// is also written there as JSON.
 func OracleBench(scale Scale) (string, error) {
 	scale = scale.withDefaults()
 	progs := corpus.Seeds()
 	progs = append(progs, corpus.Generate(corpus.Config{N: scale.CampaignCorpus, Seed: scale.Seed + 3})...)
 	res := &OracleBenchResult{Workers: scale.Workers, Files: len(progs)}
 
-	campaign := func(oracle, dispatch string, noBatch, paranoid bool) (*harness.Report, float64, error) {
-		cfg := harness.Config{
+	run := func(dispatch string, paranoid bool) (*campaign.Report, float64, error) {
+		cfg := campaign.Config{
 			Corpus:             progs,
 			Versions:           []string{"trunk"},
 			Threshold:          -1,
 			MaxVariantsPerFile: scale.MaxVariants,
 			Workers:            scale.Workers,
-			Oracle:             oracle,
 			Dispatch:           dispatch,
-			NoOracleBatch:      noBatch,
 			Paranoid:           paranoid,
 			Telemetry:          scale.Telemetry,
 		}
 		start := time.Now()
-		rep, err := harness.Run(cfg)
+		rep, err := campaign.Run(cfg)
 		return rep, time.Since(start).Seconds(), err
 	}
 
-	treeRep, treeSec, err := campaign("tree", "", false, false)
-	if err != nil {
-		return "", fmt.Errorf("experiments: oracle: tree campaign: %w", err)
-	}
-	bcRep, bcSec, err := campaign("bytecode", "", false, false)
+	bcRep, bcSec, err := run("", false)
 	if err != nil {
 		return "", fmt.Errorf("experiments: oracle: bytecode campaign: %w", err)
 	}
-	switchRep, switchSec, err := campaign("bytecode", "switch", false, false)
+	switchRep, switchSec, err := run(campaign.DispatchSwitch, false)
 	if err != nil {
 		return "", fmt.Errorf("experiments: oracle: switch-dispatch campaign: %w", err)
 	}
-	noBatchRep, noBatchSec, err := campaign("bytecode", "", true, false)
-	if err != nil {
-		return "", fmt.Errorf("experiments: oracle: no-batch campaign: %w", err)
-	}
 	res.CampaignVariants = bcRep.Stats.Variants
-	res.TreeVPS = float64(treeRep.Stats.Variants) / treeSec
 	res.BytecodeVPS = float64(bcRep.Stats.Variants) / bcSec
 	res.SwitchVPS = float64(switchRep.Stats.Variants) / switchSec
-	res.NoBatchVPS = float64(noBatchRep.Stats.Variants) / noBatchSec
-	res.Speedup = res.BytecodeVPS / res.TreeVPS
 	res.ThreadedSpeedup = res.BytecodeVPS / res.SwitchVPS
-	res.BatchSpeedup = res.BytecodeVPS / res.NoBatchVPS
 	base := bcRep.Format()
-	res.ReportsIdentical = treeRep.Format() == base &&
-		switchRep.Format() == base && noBatchRep.Format() == base
+	res.ReportsIdentical = switchRep.Format() == base
 	if !res.ReportsIdentical {
-		return "", fmt.Errorf("experiments: oracle: report diverges across oracle/dispatch/batch modes")
+		return "", fmt.Errorf("experiments: oracle: report diverges across dispatch engines")
 	}
 	if scale.Paranoid {
-		paranoidRep, _, err := campaign("bytecode", "", false, true)
+		paranoidRep, _, err := run("", true)
 		if err != nil {
 			return "", fmt.Errorf("experiments: oracle: paranoid cross-check: %w", err)
 		}
@@ -120,15 +95,11 @@ func OracleBench(scale Scale) (string, error) {
 		}
 	}
 
-	out := "Oracle throughput: skeleton-compiled bytecode reference VM vs tree-walking interpreter\n"
+	out := "Oracle throughput: bytecode reference VM, threaded vs switch dispatch\n"
 	out += fmt.Sprintf("  corpus: %d files, %d campaign variants (workers=%d)\n",
 		res.Files, res.CampaignVariants, res.Workers)
-	out += fmt.Sprintf("  full campaign: tree %8.0f variants/s | bytecode %8.0f variants/s | speedup %.2fx\n",
-		res.TreeVPS, res.BytecodeVPS, res.Speedup)
-	out += fmt.Sprintf("  dispatch: switch %8.0f variants/s | threaded speedup %.2fx\n",
-		res.SwitchVPS, res.ThreadedSpeedup)
-	out += fmt.Sprintf("  batching: off    %8.0f variants/s | batch speedup    %.2fx\n",
-		res.NoBatchVPS, res.BatchSpeedup)
+	out += fmt.Sprintf("  full campaign: threaded %8.0f variants/s | switch %8.0f variants/s | threaded speedup %.2fx\n",
+		res.BytecodeVPS, res.SwitchVPS, res.ThreadedSpeedup)
 	out += fmt.Sprintf("  reports byte-identical: %v, paranoid cross-check: %v\n",
 		res.ReportsIdentical, res.ParanoidChecked)
 	return out, nil

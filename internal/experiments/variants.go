@@ -7,9 +7,9 @@ import (
 	"os"
 	"time"
 
+	"spe/internal/campaign"
 	"spe/internal/cc"
 	"spe/internal/corpus"
-	"spe/internal/harness"
 	"spe/internal/skeleton"
 	"spe/internal/spe"
 )
@@ -18,13 +18,13 @@ import (
 // benchmark (emitted as BENCH_variants.json by cmd/spebench). It reports
 // two stages separately because they answer different questions:
 //
-//   - the instantiation stage isolates exactly what the AST-resident
-//     refactor removed — producing an analyzed variant program from an
-//     enumeration index, historically render→re-lex→re-parse→re-sema,
-//     now an in-place hole patch on a pooled template clone;
+//   - the instantiation stage isolates producing an analyzed variant
+//     program from an enumeration index: an in-place hole patch on a
+//     pooled template clone, against the render→re-lex→re-parse→re-sema
+//     round trip it replaced (Space.RenderAt plus the front end);
 //   - the campaign stage is the full differential pipeline (reference
-//     interpretation plus every compiler configuration), where the front
-//     end is one cost among many, so its speedup is necessarily smaller.
+//     oracle plus every compiler configuration), where the front end is
+//     one cost among many.
 type VariantsBenchResult struct {
 	Workers int `json:"workers"`
 	Files   int `json:"files"`
@@ -34,14 +34,11 @@ type VariantsBenchResult struct {
 	InstASTVPS    float64 `json:"instantiation_ast_variants_per_sec"`
 	InstSpeedup   float64 `json:"instantiation_speedup"`
 	// full campaign stage (variants tested per second)
-	CampaignVariants  int     `json:"campaign_variants"`
-	CampaignRenderVPS float64 `json:"campaign_render_variants_per_sec"`
-	CampaignASTVPS    float64 `json:"campaign_ast_variants_per_sec"`
-	CampaignSpeedup   float64 `json:"campaign_speedup"`
-	// ReportsIdentical confirms the render and AST campaigns produced
-	// byte-identical reports; ParanoidChecked additionally confirms a full
-	// campaign passed the -paranoid per-variant render+reparse+rebinding
-	// cross-check.
+	CampaignVariants int     `json:"campaign_variants"`
+	CampaignASTVPS   float64 `json:"campaign_ast_variants_per_sec"`
+	// ReportsIdentical confirms every campaign the experiment ran produced
+	// the same report; ParanoidChecked additionally confirms a full
+	// campaign passed the -paranoid per-variant cross-checks with it.
 	ReportsIdentical bool `json:"reports_identical"`
 	ParanoidChecked  bool `json:"paranoid_checked"`
 }
@@ -111,11 +108,10 @@ func MeasureInstantiation(progs []string, perFile int64, ast bool) (variants int
 	return n, time.Since(start).Seconds(), nil
 }
 
-// VariantsBench measures variants/sec through both pipeline flavors and
-// cross-checks their equivalence. With scale.Paranoid it additionally runs
-// a -paranoid campaign (every variant re-parsed and its symbol bindings
-// asserted against the in-place instantiation). When scale.BenchJSON is
-// set the result is also written there as JSON.
+// VariantsBench measures the instantiation stage both ways and the full
+// campaign's variants/sec. With scale.Paranoid it additionally runs a
+// -paranoid campaign and requires its report to match. When
+// scale.BenchJSON is set the result is also written there as JSON.
 func VariantsBench(scale Scale) (string, error) {
 	scale = scale.withDefaults()
 	progs := corpus.Seeds()
@@ -136,40 +132,29 @@ func VariantsBench(scale Scale) (string, error) {
 	res.InstASTVPS = float64(res.InstVariants) / astSec
 	res.InstSpeedup = res.InstASTVPS / res.InstRenderVPS
 
-	// stage 2: the full differential campaign, both flavors
-	campaign := func(renderPath, paranoid bool) (*harness.Report, float64, error) {
-		cfg := harness.Config{
+	// stage 2: the full differential campaign
+	run := func(paranoid bool) (*campaign.Report, float64, error) {
+		cfg := campaign.Config{
 			Corpus:             progs,
 			Versions:           []string{"trunk"},
 			Threshold:          -1,
 			MaxVariantsPerFile: scale.MaxVariants,
 			Workers:            scale.Workers,
-			ForceRenderPath:    renderPath,
 			Paranoid:           paranoid,
 			Telemetry:          scale.Telemetry,
 		}
 		start := time.Now()
-		rep, err := harness.Run(cfg)
+		rep, err := campaign.Run(cfg)
 		return rep, time.Since(start).Seconds(), err
 	}
-	renderRep, renderCampSec, err := campaign(true, false)
-	if err != nil {
-		return "", fmt.Errorf("experiments: variants: render campaign: %w", err)
-	}
-	astRep, astCampSec, err := campaign(false, false)
+	astRep, astCampSec, err := run(false)
 	if err != nil {
 		return "", fmt.Errorf("experiments: variants: ast campaign: %w", err)
 	}
 	res.CampaignVariants = astRep.Stats.Variants
-	res.CampaignRenderVPS = float64(renderRep.Stats.Variants) / renderCampSec
 	res.CampaignASTVPS = float64(astRep.Stats.Variants) / astCampSec
-	res.CampaignSpeedup = res.CampaignASTVPS / res.CampaignRenderVPS
-	res.ReportsIdentical = renderRep.Format() == astRep.Format()
-	if !res.ReportsIdentical {
-		return "", fmt.Errorf("experiments: variants: AST-path report diverges from render path")
-	}
 	if scale.Paranoid {
-		paranoidRep, _, err := campaign(false, true)
+		paranoidRep, _, err := run(true)
 		if err != nil {
 			return "", fmt.Errorf("experiments: variants: paranoid cross-check: %w", err)
 		}
@@ -178,6 +163,7 @@ func VariantsBench(scale Scale) (string, error) {
 		}
 		res.ParanoidChecked = true
 	}
+	res.ReportsIdentical = true
 
 	if scale.BenchJSON != "" {
 		data, err := json.MarshalIndent(res, "", "  ")
@@ -189,13 +175,12 @@ func VariantsBench(scale Scale) (string, error) {
 		}
 	}
 
-	out := "Variant throughput: AST-resident instantiation vs render+reparse\n"
+	out := "Variant throughput: AST-resident instantiation vs render+reparse, and the full campaign\n"
 	out += fmt.Sprintf("  corpus: %d files, %d instantiated variants, %d campaign variants (workers=%d)\n",
 		res.Files, res.InstVariants, res.CampaignVariants, res.Workers)
 	out += fmt.Sprintf("  instantiation: render %8.0f variants/s | ast %8.0f variants/s | speedup %.1fx\n",
 		res.InstRenderVPS, res.InstASTVPS, res.InstSpeedup)
-	out += fmt.Sprintf("  full campaign: render %8.0f variants/s | ast %8.0f variants/s | speedup %.2fx\n",
-		res.CampaignRenderVPS, res.CampaignASTVPS, res.CampaignSpeedup)
+	out += fmt.Sprintf("  full campaign: ast %8.0f variants/s\n", res.CampaignASTVPS)
 	out += fmt.Sprintf("  reports byte-identical: %v, paranoid cross-check: %v\n",
 		res.ReportsIdentical, res.ParanoidChecked)
 	return out, nil

@@ -15,14 +15,13 @@ import (
 )
 
 // These tests pin the fabric's determinism contract: a loopback
-// coordinator/worker campaign — any worker count, any schedule, batching
-// on or off, leases expiring and re-dispatching, the coordinator itself
-// killed and resumed — formats byte-identically to the in-process
-// engine. They mirror the *_equivalence_test.go pattern in
+// coordinator/worker campaign — any worker count, any schedule, leases
+// expiring and re-dispatching, the coordinator itself killed and
+// resumed — formats byte-identically to the in-process engine. They mirror the *_equivalence_test.go pattern in
 // internal/campaign: one baseline Report.Format(), every cell compared
 // against it.
 
-// baseConfig matches internal/campaign's oracleBaseConfig so fabric
+// baseConfig matches internal/campaign's flavorBaseConfig so fabric
 // equivalence runs the same small-but-real campaign.
 func baseConfig() campaign.Config {
 	return campaign.Config{
@@ -85,30 +84,29 @@ func runFabric(t *testing.T, cfg campaign.Config, workers int, opts Options, tra
 
 func local(c *Coordinator) Transport { return &LocalTransport{C: c} }
 
-// TestFabricEquivalenceMatrix crosses worker count x schedule x oracle
-// batching over the loopback transport against the in-process baseline.
+// TestFabricEquivalenceMatrix crosses worker count x schedule over the
+// loopback transport against a one-worker in-process -paranoid run, which
+// checks every variant's verdicts against fresh references.
 func TestFabricEquivalenceMatrix(t *testing.T) {
-	want := inProcessBaseline(t, baseConfig())
+	ref := baseConfig()
+	ref.Workers = 1
+	ref.Paranoid = true
+	want := inProcessBaseline(t, ref)
 
 	workerCounts := []int{1, 2, 4}
 	schedules := []string{campaign.ScheduleFIFO, campaign.ScheduleCoverage, campaign.ScheduleRegion}
-	batching := []bool{false, true}
 	if testing.Short() {
 		workerCounts = []int{2} // race CI: one parallel cell per axis
 		schedules = []string{campaign.ScheduleFIFO}
-		batching = []bool{false}
 	}
 	for _, workers := range workerCounts {
 		for _, schedule := range schedules {
-			for _, noBatch := range batching {
-				cfg := baseConfig()
-				cfg.Schedule = schedule
-				cfg.NoOracleBatch = noBatch
-				got := runFabric(t, cfg, workers, Options{LeaseTimeout: 30 * time.Second}, local)
-				if got != want {
-					t.Errorf("fabric report diverges (workers=%d schedule=%s noBatch=%v):\n--- fabric ---\n%s--- in-process ---\n%s",
-						workers, schedule, noBatch, got, want)
-				}
+			cfg := baseConfig()
+			cfg.Schedule = schedule
+			got := runFabric(t, cfg, workers, Options{LeaseTimeout: 30 * time.Second}, local)
+			if got != want {
+				t.Errorf("fabric report diverges (workers=%d schedule=%s):\n--- fabric ---\n%s--- in-process ---\n%s",
+					workers, schedule, got, want)
 			}
 		}
 	}

@@ -163,6 +163,7 @@ func VariantsBench(scale Scale) (string, error) {
 		}
 		res.ParanoidChecked = true
 	}
+	// every campaign above agreed, or the experiment returned an error
 	res.ReportsIdentical = true
 
 	if scale.BenchJSON != "" {

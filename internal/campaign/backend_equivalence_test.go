@@ -66,20 +66,24 @@ func paranoidBaseline(t *testing.T) string {
 	return flavorBaseline.text
 }
 
-// TestBackendReusePlusVersions widens the configuration matrix: several
-// compiler versions and the full -O ladder, where seeded frontend crashes
-// come and go per version — the replayed crash-check trace of the pooled
-// IR templates must track the live bug set exactly, and wrong-code
-// attribution re-runs each reference verdict against selectively
-// deactivated bug sets, so any step-count or verdict drift would flip
-// attribution verdicts here.
-func TestBackendReusePlusVersions(t *testing.T) {
-	cfg := Config{
+// versionLadderConfig is the 4.8/6.0/trunk campaign over the full -O
+// ladder, where seeded frontend crashes and wrong-code bugs come and go
+// per version.
+func versionLadderConfig() Config {
+	return Config{
 		Corpus:             corpus.Seeds()[:3],
 		Versions:           []string{"4.8", "6.0", "trunk"},
 		MaxVariantsPerFile: 40,
 		Workers:            2,
 	}
+}
+
+// TestBackendReusePlusVersions widens the configuration matrix: several
+// compiler versions and the full -O ladder, where seeded frontend crashes
+// come and go per version — the replayed crash-check trace of the pooled
+// IR templates must track the live bug set exactly.
+func TestBackendReusePlusVersions(t *testing.T) {
+	cfg := versionLadderConfig()
 	want, err := paranoidFormat(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -89,15 +93,32 @@ func TestBackendReusePlusVersions(t *testing.T) {
 	}
 }
 
-// TestBackendReuseDirtyState is the campaign-level dirty-state regression
-// test: a corpus whose variants mutate globals, static locals, and heap
-// objects through pointers, recurse, and print. Under Paranoid every
-// variant's pooled verdicts are checked against fresh references, so any
-// state leaking from variant N into variant N+1 through a reused
-// interpreter machine, bytecode VM slab, frame, static slot, string
-// intern, or patched IR template aborts the campaign; one and four
-// workers must also agree.
-func TestBackendReuseDirtyState(t *testing.T) {
+// TestOracleEquivalenceVersions runs the same ladder under the coverage
+// schedule at three workers. Each bytecode oracle verdict sets the step
+// budget of its compiled runs, and wrong-code attribution re-runs it
+// against selectively deactivated bug sets, so any step-count or verdict
+// drift would flip attribution verdicts here; the ladder must yield
+// wrong-code findings for the check to bite.
+func TestOracleEquivalenceVersions(t *testing.T) {
+	cfg := versionLadderConfig()
+	want, err := paranoidFormat(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Schedule = ScheduleCoverage
+	cfg.Workers = 3
+	got := mustRun(t, cfg)
+	if got.Stats.WrongFindings == 0 {
+		t.Fatal("version ladder produced no wrong-code findings; test is vacuous")
+	}
+	if got.Format() != want {
+		t.Errorf("report diverges across versions:\n--- got ---\n%s--- paranoid ---\n%s", got.Format(), want)
+	}
+}
+
+// dirtyStateConfig is a one-file campaign whose variants mutate globals,
+// static locals, and heap objects through pointers, and print.
+func dirtyStateConfig() Config {
 	dirty := `
 int g = 1;
 int h = 2;
@@ -115,14 +136,24 @@ int main() {
     return g + h + a + b;
 }
 `
-	cfg := Config{
+	return Config{
 		Corpus:             []string{dirty},
 		Versions:           []string{"trunk"},
 		Threshold:          -1, // the probe's canonical space is large by design
 		MaxVariantsPerFile: 120,
-		Paranoid:           true,
 		Workers:            1,
 	}
+}
+
+// TestBackendReuseDirtyState is the campaign-level dirty-state regression
+// test. Under Paranoid every variant's pooled verdicts are checked
+// against fresh references, so any state leaking from variant N into
+// variant N+1 through a reused interpreter machine, bytecode VM slab,
+// frame, static slot, string intern, or patched IR template aborts the
+// campaign; one and four workers must also agree.
+func TestBackendReuseDirtyState(t *testing.T) {
+	cfg := dirtyStateConfig()
+	cfg.Paranoid = true
 	want := mustRun(t, cfg)
 	if want.Stats.VariantsClean == 0 {
 		t.Fatal("dirty-state corpus produced no clean variants; test is vacuous")
@@ -130,5 +161,23 @@ int main() {
 	cfg.Workers = 4
 	if got := mustRun(t, cfg).Format(); got != want.Format() {
 		t.Errorf("dirty-state report diverges at 4 workers:\n--- got ---\n%s--- workers=1 ---\n%s", got, want.Format())
+	}
+}
+
+// TestOracleDirtyState runs the dirty-state corpus without Paranoid, so
+// the pooled bytecode VM and IR templates run variant after variant with
+// no reference run, checked rebind, or fresh lowering in between; at one
+// and four workers the report must match the paranoid one.
+func TestOracleDirtyState(t *testing.T) {
+	want, err := paranoidFormat(dirtyStateConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := dirtyStateConfig()
+		cfg.Workers = workers
+		if got := mustRun(t, cfg).Format(); got != want {
+			t.Errorf("workers=%d: dirty-state report diverges:\n--- got ---\n%s--- paranoid ---\n%s", workers, got, want)
+		}
 	}
 }

@@ -14,7 +14,7 @@
 //	                                 intra-procedural, all of them)
 //	spe campaign [-workers N] [-checkpoint path] [-variants N]
 //	             [-versions list] [-schedule fifo|coverage|region]
-//	             [-target-shard-ms N] [-curve] [-reduce] [-inter]
+//	             [-curve] [-reduce] [-inter]
 //	             [-dispatch threaded|switch] [-backend-dispatch threaded|switch]
 //	             [-paranoid] [-status-addr host:port]
 //	             [-progress 30s] [-cpuprofile path] [-memprofile path]
@@ -31,10 +31,8 @@
 //	                                 scheduling regions (contiguous
 //	                                 hole-group ranges of its walk)
 //	                                 independently and drains the novel
-//	                                 ones first, and -target-shard-ms
-//	                                 sizes shard batches adaptively (all
-//	                                 three leave the report byte-identical
-//	                                 to fifo order);
+//	                                 ones first (both leave the report
+//	                                 byte-identical to fifo order);
 //	                                 variants are instantiated in place on
 //	                                 AST templates and executed on pooled
 //	                                 backends (skeleton-compiled bytecode
@@ -202,7 +200,6 @@ func campaignMain(args []string) error {
 	variants := fs.Int("variants", 200, "maximum enumerated variants tested per file")
 	versions := fs.String("versions", "trunk", "comma-separated compiler versions under test")
 	schedule := fs.String("schedule", campaign.ScheduleFIFO, "shard dispatch policy: fifo (enumeration order), coverage (drain novel files first), or region (score each file's regions independently); same final report either way")
-	targetShardMs := fs.Int("target-shard-ms", 0, "adaptive shard sizing: batch dispatches toward this duration (0 = fixed shards)")
 	curve := fs.Bool("curve", false, "record and print the coverage-over-time curve to stderr (under fifo this enables coverage collection)")
 	reduce := fs.Bool("reduce", false, "delta-debug each finding's sample test case")
 	inter := fs.Bool("inter", false, "inter-procedural granularity")
@@ -324,7 +321,6 @@ func campaignMain(args []string) error {
 		Workers:            *workers,
 		CheckpointPath:     *checkpoint,
 		Schedule:           *schedule,
-		TargetShardMillis:  *targetShardMs,
 		CoverageCurve:      *curve,
 		Dispatch:           *dispatch,
 		BackendDispatch:    *backendDispatch,

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	spebench [-quick] [-workers N] [-checkpoint path]
-//	         [-schedule fifo|coverage|region] [-target-shard-ms N]
+//	         [-schedule fifo|coverage|region]
 //	         [-dispatch threaded|switch] [-backend-dispatch threaded|switch]
 //	         [-paranoid] [-bench-json path]
 //	         [-cpuprofile path] [-memprofile path]
@@ -18,7 +18,7 @@
 // tables are identical at any setting), -checkpoint makes campaign
 // experiments persist resumable progress, -schedule selects the shard
 // dispatch policy (coverage drains novel files first, region scores each
-// file's scheduling regions independently; tables are unaffected), and -target-shard-ms enables adaptive shard sizing.
+// file's scheduling regions independently; tables are unaffected).
 // -dispatch selects the bytecode oracle VM's instruction dispatch engine
 // (threaded, the default fused and specialized handler table, or switch,
 // the monolithic opcode switch baseline) and -backend-dispatch selects
@@ -80,7 +80,6 @@ func benchMain() int {
 	workers := flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS); results are identical at any setting")
 	checkpoint := flag.String("checkpoint", "", "persist campaign progress to this path (campaign experiments only)")
 	schedule := flag.String("schedule", "", "campaign shard dispatch policy: fifo (default), coverage, or region; tables are identical either way")
-	targetShardMs := flag.Int("target-shard-ms", 0, "adaptive campaign shard sizing toward this duration (0 = fixed shards)")
 	dispatch := flag.String("dispatch", "", "bytecode oracle instruction dispatch: threaded (default) or switch; tables are identical either way")
 	backendDispatch := flag.String("backend-dispatch", "", "compiled-binary minicc VM instruction dispatch: threaded (default) or switch; tables are identical either way")
 	paranoid := flag.Bool("paranoid", false, "cross-check every campaign variant: the AST-resident instantiation (render+reparse+binding assertion), each patched IR template against a fresh lowering, and each bytecode verdict against the tree-walker")
@@ -128,7 +127,6 @@ func benchMain() int {
 	}
 	scale.Workers = *workers
 	scale.Schedule = *schedule
-	scale.TargetShardMillis = *targetShardMs
 	scale.Dispatch = *dispatch
 	scale.BackendDispatch = *backendDispatch
 	scale.Paranoid = *paranoid

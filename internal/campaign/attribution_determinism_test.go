@@ -184,14 +184,17 @@ func TestAttributionOnceAnyOrder(t *testing.T) {
 // its file's first variant showing it and by no other, and
 // spe_attributions_total equals the number of keys the aggregator keeps.
 func TestAttributionSearchesOncePerKey(t *testing.T) {
-	cfg := regionsAttrConfig().withDefaults()
+	cfg := regionsAttrConfig()
 	tel := NewTelemetry()
 	cfg.Telemetry = tel
-	st := newAggState()
-	if _, err := runEngine(context.Background(), cfg, st); err != nil {
+	e, err := NewRemoteEngine(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := tel.attributions.Load(), int64(len(st.attribution))
+	if _, err := e.runLocal(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	got, want := tel.attributions.Load(), int64(len(e.st.attribution))
 	if want == 0 {
 		t.Fatal("the regions seed shows no wrong-code key; the test exercises nothing")
 	}

@@ -91,16 +91,6 @@ type Config struct {
 	// ahead of the aggregator's merge cursor, which also bounds the reorder
 	// buffer's memory. Zero means 256, raised to 8*Workers if smaller.
 	Lookahead int
-	// TargetShardMillis, when positive, enables adaptive shard sizing: the
-	// engine tracks per-variant wall-clock cost and batches consecutive
-	// shard dispatches toward this target duration, evening out worker tail
-	// latency. Batching never changes task identity, but note that when
-	// ShardSize is left zero this flag picks a finer default grain (4
-	// instead of 32) so batches can size in both directions — set ShardSize
-	// explicitly if checkpoint seq numbering must match a run without the
-	// flag. A checkpoint embeds its resolved config, so resume is always
-	// self-consistent either way.
-	TargetShardMillis int
 	// CoverageCurve records the coverage-over-time curve (Report.
 	// CoverageCurve) even under ScheduleFIFO. Coverage collection is
 	// otherwise skipped for fifo campaigns, sparing the VM instrumentation
@@ -194,13 +184,7 @@ func (c Config) withDefaults() Config {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.ShardSize <= 0 {
-		if c.TargetShardMillis > 0 {
-			// adaptive sizing groups micro-shards toward the duration
-			// target; a finer default grain lets it size both down and up
-			c.ShardSize = 4
-		} else {
-			c.ShardSize = 32
-		}
+		c.ShardSize = 32
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 8

@@ -35,9 +35,9 @@ type checkpointFile struct {
 	Stats       Stats
 	Findings    []*Finding
 	Attribution map[string]string
-	// Steering carries the coverage frontier and adaptive-sizing cost
-	// model so a resumed campaign keeps the dispatch steering it had
-	// learned (merely advisory: it never affects the final Report).
+	// Steering carries the coverage frontier and cost model so a resumed
+	// campaign keeps the dispatch steering it had learned (merely
+	// advisory: it never affects the final Report).
 	Steering *steering
 }
 
@@ -124,12 +124,9 @@ func ResumeContext(ctx context.Context, path string) (*Report, error) {
 // resumed run (checkpoints never persist telemetry — Config.Telemetry is
 // json:"-" — so it must be re-supplied on resume). tel may be nil.
 func ResumeTelemetry(ctx context.Context, path string, tel *Telemetry) (*Report, error) {
-	cfg, st, err := loadCheckpoint(path)
+	e, err := ResumeRemoteEngine(path, tel)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	cfg.CheckpointPath = path
-	cfg.Telemetry = tel
-	return runEngine(ctx, cfg, st)
+	return e.runLocal(ctx)
 }

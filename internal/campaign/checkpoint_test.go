@@ -13,6 +13,40 @@ import (
 	"spe/internal/minicc"
 )
 
+// cancelWhen cancels ctx once cond holds, polling every millisecond. The
+// returned wait blocks until the poller has exited.
+func cancelWhen(ctx context.Context, cancel context.CancelFunc, cond func() bool) (wait func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if cond() {
+				cancel()
+				return
+			}
+		}
+	}()
+	return func() { <-done }
+}
+
+// checkpointMerged reports whether path holds a checkpoint of at least n
+// merged shard tasks — the moment the kill/resume tests cancel at.
+func checkpointMerged(path string, n int) func() bool {
+	return func() bool {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return false
+		}
+		var ck checkpointFile
+		return json.Unmarshal(data, &ck) == nil && ck.NextSeq >= n
+	}
+}
+
 // TestCheckpointResumeAfterKill kills a checkpointed campaign mid-run and
 // asserts that resuming from the surviving checkpoint reproduces the exact
 // findings of an uninterrupted run.
@@ -37,29 +71,10 @@ func TestCheckpointResumeAfterKill(t *testing.T) {
 	// cancel the run as soon as a few shards have been durably merged —
 	// the moral equivalent of kill -9 between two checkpoint writes
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			var ck checkpointFile
-			if json.Unmarshal(data, &ck) == nil && ck.NextSeq >= 3 {
-				cancel()
-				return
-			}
-		}
-	}()
+	wait := cancelWhen(ctx, cancel, checkpointMerged(path, 3))
 	rep, err := RunContext(ctx, cfg)
 	cancel()
-	<-done
+	wait()
 	if err == nil {
 		// the campaign outran the watcher; the resume assertion below
 		// still holds (it replays the tail after the last checkpoint)
@@ -98,7 +113,6 @@ func TestCheckpointResumeCoverageSchedule(t *testing.T) {
 		Schedule:           ScheduleCoverage,
 		Lookahead:          24, // keep checkpoints close behind dispatch
 		CheckpointEvery:    1,
-		TargetShardMillis:  10,
 	}
 	ref, err := Run(base) // uninterrupted, no checkpointing
 	if err != nil {
@@ -110,31 +124,12 @@ func TestCheckpointResumeCoverageSchedule(t *testing.T) {
 	cfg.CheckpointPath = path
 
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			var ck checkpointFile
-			if json.Unmarshal(data, &ck) == nil && ck.NextSeq >= 3 {
-				cancel()
-				return
-			}
-		}
-	}()
+	wait := cancelWhen(ctx, cancel, checkpointMerged(path, 3))
 	if rep, err := RunContext(ctx, cfg); err == nil {
 		t.Logf("campaign completed before cancellation; findings=%d", len(rep.Findings))
 	}
 	cancel()
-	<-done
+	wait()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("no checkpoint survived the kill: %v", err)
@@ -250,31 +245,12 @@ func TestCheckpointMigrateV2(t *testing.T) {
 	cfg.CheckpointPath = path
 
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			var ck checkpointFile
-			if json.Unmarshal(data, &ck) == nil && ck.NextSeq >= 3 {
-				cancel()
-				return
-			}
-		}
-	}()
+	wait := cancelWhen(ctx, cancel, checkpointMerged(path, 3))
 	if _, err := RunContext(ctx, cfg); err == nil {
 		t.Log("campaign completed before cancellation; the downgraded resume below still replays the tail")
 	}
 	cancel()
-	<-done
+	wait()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("no checkpoint survived the kill: %v", err)
@@ -322,11 +298,11 @@ func TestCheckpointMigrateV2(t *testing.T) {
 }
 
 // TestCheckpointIgnoresRemovedConfigFields resumes a checkpoint whose
-// embedded Config carries the pipeline-flavor fields older builds wrote
-// (the tree oracle, the render path, cold backends, and both unbatched
-// walks). JSON decoding ignores keys the Config no longer has, so the
-// resumed campaign takes today's walk and must format byte-identically to
-// an uninterrupted run.
+// embedded Config carries the fields older builds wrote: the pipeline
+// flavors (the tree oracle, the render path, cold backends, and both
+// unbatched walks) and the adaptive batching target. JSON decoding
+// ignores keys the Config no longer has, so the resumed campaign takes
+// today's walk and must format byte-identically to an uninterrupted run.
 func TestCheckpointIgnoresRemovedConfigFields(t *testing.T) {
 	want := paranoidBaseline(t) // the uninterrupted run of flavorBaseConfig
 
@@ -379,6 +355,9 @@ func TestCheckpointIgnoresRemovedConfigFields(t *testing.T) {
 		"NoBackendReuse":  "true",
 		"NoOracleBatch":   "true",
 		"NoBackendBatch":  "true",
+		// the embedded ShardSize is already resolved, so task identity
+		// holds without the target
+		"TargetShardMillis": "10",
 	} {
 		embedded[k] = json.RawMessage(v)
 	}

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/big"
 	"sort"
@@ -23,8 +22,11 @@ func Run(cfg Config) (*Report, error) {
 // A checkpointed campaign canceled mid-run resumes from its checkpoint to
 // the same findings an uninterrupted run produces.
 func RunContext(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	return runEngine(ctx, cfg, newAggState())
+	e, err := NewRemoteEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.runLocal(ctx)
 }
 
 // taskResult is one shard's worth of worker output, merged by seq order.
@@ -40,7 +42,7 @@ type taskResult struct {
 	// sites is the sorted set of instrumentation sites the shard's
 	// compilations hit — the coverage feedback the scheduler steers by.
 	sites minicc.Snapshot
-	// elapsedNs and ranVariants feed the adaptive-sizing cost model.
+	// elapsedNs and ranVariants feed the scheduler's cost model.
 	elapsedNs   int64
 	ranVariants int
 	// obs carries the shard's locally-accumulated telemetry (stage
@@ -48,192 +50,69 @@ type taskResult struct {
 	obs *shardObs
 }
 
-// runEngine drives the scheduler → worker pool → aggregator pipeline.
-// st carries the aggregator's merge state, pre-seeded by Resume.
-func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	// the task sequence is derived up front (it is a pure function of the
-	// config) so the scheduler can prioritize over the whole campaign;
-	// tasks the checkpoint has already merged are excluded at startSeq
-	all, err := buildAllTasks(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sched := newScheduler(cfg, all, st.nextSeq, st.steer)
-	tel := cfg.Telemetry
-	tel.campaignStarted(cfg, all, st.nextSeq)
-	tel.attachRegions(cfg, sched)
-	st.tel = tel
-
+// runLocal drains the engine in process: cfg.Workers goroutines each take
+// a task under the dispatch window, run it, and send the result to the
+// calling goroutine, which delivers it, so merges and checkpoint writes
+// stay off the workers. A shard error or cancellation stops the workers
+// and persists the merged prefix through Shutdown.
+func (e *RemoteEngine) runLocal(ctx context.Context) (*Report, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	stop := context.AfterFunc(ctx, func() {
+		e.mu.Lock()
+		e.cond.Broadcast()
+		e.mu.Unlock()
+	})
+	defer stop()
 
-	batches := make(chan []*task, cfg.Workers)
-	results := make(chan *taskResult, 2*cfg.Workers)
-
-	// window bounds how far dispatch may run ahead of the aggregator's
-	// merge cursor: each dispatched task takes a credit, each merged task
-	// returns one. Its capacity doubles as the scheduler's reorder
-	// horizon, so pending memory stays O(Lookahead) no matter how far the
-	// priority policy strays from seq order.
-	window := make(chan struct{}, cfg.Lookahead)
-
-	var senders sync.WaitGroup
-
-	// producer: drain the scheduler, grouping micro-shards into batches
-	// sized toward the adaptive duration target (one credit per task;
-	// batch extension only uses free credits, so a full window never
-	// blocks the first dispatch)
-	senders.Add(1)
-	go func() {
-		defer senders.Done()
-		defer close(batches)
-		for {
-			select {
-			case window <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			// only this goroutine acquires credits, so observing a full
-			// window here means we hold the final one — pop must then
-			// dispatch head-of-line to keep the merge cursor supplied
-			t, ok := sched.pop(len(window) == cap(window))
-			if !ok {
-				return // everything dispatched; the spare credit is moot
-			}
-			batch := []*task{t}
-			if target := sched.targetNs(); target > 0 {
-				spent := sched.predictNs(t)
-				for spent < target && len(batch) < maxBatch {
-					select {
-					case window <- struct{}{}:
-					default:
-						spent = target // window full: stop extending
-						continue
-					}
-					t2, ok := sched.pop(len(window) == cap(window))
-					if !ok {
-						spent = target // drained; the spare credit is moot
-						continue
-					}
-					batch = append(batch, t2)
-					spent += sched.predictNs(t2)
-				}
-			}
-			tel.observeDispatch(len(batch))
-			select {
-			case batches <- batch:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	// worker pool: each task instantiates its shard's variants by
-	// unranking their enumeration indices and runs the full differential
-	// pipeline
-	for w := 0; w < cfg.Workers; w++ {
-		senders.Add(1)
+	// two results of slack per worker, so a worker rarely waits while the
+	// calling goroutine merges or writes a checkpoint
+	results := make(chan *taskResult, 2*e.cfg.Workers)
+	var wg sync.WaitGroup
+	for w := 0; w < e.cfg.Workers; w++ {
+		wg.Add(1)
 		go func() {
-			defer senders.Done()
-			for batch := range batches {
-				for _, t := range batch {
-					if ctx.Err() != nil {
-						continue // drain
-					}
-					select {
-					case results <- runTask(ctx, cfg, t):
-					case <-ctx.Done():
-					}
+			defer wg.Done()
+			for {
+				t := e.take(ctx)
+				if t == nil {
+					return
+				}
+				select {
+				case results <- runTask(ctx, e.cfg, t):
+				case <-ctx.Done():
+					return
 				}
 			}
 		}()
 	}
-
-	// close results when the producer and every worker are done, so the
-	// aggregator's range below always terminates
 	go func() {
-		senders.Wait()
+		wg.Wait()
 		close(results)
 	}()
 
-	// aggregator: feed each arriving result back to the scheduler, then
-	// reorder by seq and merge deterministically
-	var firstErr error
-	pending := make(map[int]*taskResult)
+	var err error
 	for r := range results {
-		if firstErr != nil {
+		if err != nil {
 			continue // drain
 		}
-		if r.err != nil {
-			firstErr = r.err
+		if err = r.err; err == nil {
+			err = e.deliver(r)
+		}
+		if err != nil {
 			cancel()
-			continue
-		}
-		point, novel, rp := sched.observe(r)
-		if tel != nil {
-			tel.observeSteering(sched.costSample(), point, novel, rp)
-		}
-		pending[r.seq] = r
-		for {
-			nr, ok := pending[st.nextSeq]
-			if !ok {
-				break
-			}
-			delete(pending, st.nextSeq)
-			st.merge(cfg, nr)
-			st.nextSeq++
-			st.sinceCkpt++
-			// widen the scheduler's horizon before returning the credit,
-			// so a producer that wins the freed credit already sees the
-			// advanced cursor (the pop invariant depends on this order)
-			sched.advance(st.nextSeq)
-			<-window
-			if cfg.CheckpointPath != "" && st.sinceCkpt >= cfg.CheckpointEvery {
-				var ckStart time.Time
-				if tel != nil {
-					ckStart = time.Now()
-				}
-				if err := writeCheckpoint(cfg, st, sched.steeringSnapshot()); err != nil {
-					firstErr = err
-					cancel()
-					break
-				}
-				tel.observeCheckpoint(st.nextSeq, time.Since(ckStart))
-				st.sinceCkpt = 0
-			}
-		}
-		tel.observeAggregator(len(pending))
-	}
-	tel.campaignDone()
-	// context-driven shutdown persists the merged prefix: a SIGINT (or any
-	// cancellation) should leave the latest state on disk instead of
-	// abandoning up to CheckpointEvery-1 merged shards, so the resumed
-	// campaign continues from exactly where the interrupted one stopped
-	if ctx.Err() != nil && cfg.CheckpointPath != "" && st.sinceCkpt > 0 &&
-		(firstErr == nil || errors.Is(firstErr, context.Canceled) || errors.Is(firstErr, context.DeadlineExceeded)) {
-		if err := writeCheckpoint(cfg, st, sched.steeringSnapshot()); err == nil {
-			st.sinceCkpt = 0
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err == nil {
+		err = ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
+		if serr := e.Shutdown(); serr != nil {
+			err = fmt.Errorf("%w (shutdown checkpoint: %v)", err, serr)
+		}
 		return nil, err
 	}
-	rep := st.finalize(cfg)
-	rep.CoverageCurve = sched.curveSnapshot()
-	// the plan schedule is a pure function of the config, so it is derived
-	// fresh here (never checkpointed) and identical across resumes
-	for _, t := range all {
-		if t.newFile {
-			rep.Plans = append(rep.Plans, t.plan.info())
-		}
-	}
-	return rep, nil
+	return e.Finalize()
 }
 
 // runTask processes one shard: the worker half of the pipeline. Alongside

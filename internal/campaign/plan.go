@@ -229,7 +229,7 @@ func buildPlan(cfg Config, seedIdx int, src string) (*filePlan, error) {
 
 // buildAllTasks derives every corpus file's plan and cuts the full shard
 // task sequence with global seq numbers. The sequence is a pure function
-// of Config — dispatch policy, adaptive batching, and resume never change
+// of Config — dispatch policy, worker count, and resume never change
 // task identity, which is what keeps checkpoints and the deterministic
 // merge stable across schedules.
 func buildAllTasks(cfg Config) ([]*task, error) {

@@ -37,11 +37,12 @@ import (
 //
 // Dispatch is bounded by a lookahead horizon: a task may only be sent
 // while its seq is within cfg.Lookahead of the aggregator's merge cursor.
-// The horizon equals the engine's dispatch-credit window, which yields two
-// invariants: the reorder buffer stays O(Lookahead), and the producer can
-// never deadlock — whenever it holds a free credit, the lowest undispatched
-// seq is provably within the horizon (at most Lookahead-1 tasks can sit
-// unmerged below it), so pop always has an eligible candidate.
+// The horizon equals the engine's dispatch-credit window (a dispatched
+// task holds its credit until it merges), which yields two invariants:
+// the reorder buffer stays O(Lookahead), and dispatch can never deadlock —
+// whenever a credit is free, the lowest undispatched seq is provably
+// within the horizon (at most Lookahead-1 tasks can sit unmerged below
+// it), so pop always has an eligible candidate.
 
 // optimisticScore ranks never-visited scoring units above any observed
 // novelty.
@@ -52,12 +53,9 @@ const optimisticScore = 1e18
 // barren shards in a row demote a stale unit below fresher ones.
 const noveltyDecay = 0.5
 
-// costDecay is the EWMA weight of the per-variant wall-clock model used by
-// adaptive shard sizing.
+// costDecay is the EWMA weight of the per-variant wall-clock model that
+// telemetry, /status, and the checkpoint steering block read.
 const costDecay = 0.7
-
-// maxBatch caps how many micro-shards one adaptive dispatch may group.
-const maxBatch = 64
 
 // qkey identifies one scoring unit: a corpus file under the coverage
 // policy (region 0), a (file, region) pair under the region policy.
@@ -93,7 +91,7 @@ func parseQKey(s string) (qkey, bool) {
 type steering struct {
 	// Frontier is the sorted set of instrumentation sites hit so far.
 	Frontier minicc.Snapshot
-	// CostNsPerVariant is the adaptive-sizing cost model (0 = unlearned).
+	// CostNsPerVariant is the EWMA cost model (0 = unlearned).
 	CostNsPerVariant float64
 	// RegionScores maps corpus seed index to its current novelty score
 	// (the checkpoint-v2 field, written under the coverage policy).
@@ -379,7 +377,7 @@ func (s *scheduler) observe(r *taskResult) (CoveragePoint, bool, *RegionCoverage
 }
 
 // costSample reports the EWMA cost model's current per-variant estimate in
-// nanoseconds (0 = unlearned). Telemetry-facing; dispatch uses predictNs.
+// nanoseconds (0 = unlearned). Telemetry-facing; dispatch never reads it.
 func (s *scheduler) costSample() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -387,46 +385,13 @@ func (s *scheduler) costSample() float64 {
 }
 
 // advance tracks the aggregator's merge cursor, widening the eligibility
-// horizon. The aggregator calls it before releasing the merged task's
-// dispatch credit, which is what keeps the pop invariant sound.
+// horizon. The engine calls it under the lock that frees the merged
+// task's dispatch credit, so no dispatch sees the freed credit without the
+// advanced cursor, which is what keeps the pop invariant sound.
 func (s *scheduler) advance(cursor int) {
 	s.mu.Lock()
 	s.cursor = cursor
 	s.mu.Unlock()
-}
-
-// targetNs returns the adaptive batch duration target, or 0 when adaptive
-// sizing is disabled or the cost model has not learned yet.
-func (s *scheduler) targetNs() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cfg.TargetShardMillis <= 0 || s.costNs == 0 {
-		return 0
-	}
-	return float64(s.cfg.TargetShardMillis) * 1e6
-}
-
-// predictNs estimates a task's wall-clock cost. Under the region policy
-// the task's own region's EWMA is preferred — regions of one file can
-// have very different per-variant costs (different functions dominate
-// execution) — with the campaign-wide model as the cold-start fallback.
-func (s *scheduler) predictNs(t *task) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := t.toJ - t.fromJ
-	if t.includeOriginal {
-		n++
-	}
-	if n <= 0 {
-		n = 1 // headers still cost a dispatch
-	}
-	cost := s.costNs
-	if s.cfg.Schedule == ScheduleRegion {
-		if c := s.regionCostNs[s.keyOf(t.plan.seedIdx, t.region)]; c > 0 {
-			cost = c
-		}
-	}
-	return cost * float64(n)
 }
 
 // steeringSnapshot captures the persistent half of the scheduler for a

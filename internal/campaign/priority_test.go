@@ -11,9 +11,9 @@ import (
 
 // TestScheduleEquivalenceAtFourWorkers is the acceptance check for the
 // coverage scheduler: fifo and coverage dispatch policies must produce
-// byte-identical final reports at >= 4 workers, with and without adaptive
-// shard sizing. Only dispatch ORDER differs between the policies; the
-// aggregator's canonical-order merge erases it.
+// byte-identical final reports at >= 4 workers, at the base shard size
+// and at a finer grain of 4 variants. Only dispatch ORDER differs between
+// the policies; the aggregator's canonical-order merge erases it.
 func TestScheduleEquivalenceAtFourWorkers(t *testing.T) {
 	base := Config{
 		Corpus:             corpus.Seeds()[:6],
@@ -37,12 +37,12 @@ func TestScheduleEquivalenceAtFourWorkers(t *testing.T) {
 		{"coverage", func(c *Config) { c.Schedule = ScheduleCoverage }},
 		{"coverage-8-workers", func(c *Config) { c.Schedule = ScheduleCoverage; c.Workers = 8 }},
 		{"coverage-small-lookahead", func(c *Config) { c.Schedule = ScheduleCoverage; c.Lookahead = 33 }},
-		{"coverage-adaptive", func(c *Config) { c.Schedule = ScheduleCoverage; c.TargetShardMillis = 20 }},
+		{"coverage-shard4", func(c *Config) { c.Schedule = ScheduleCoverage; c.ShardSize = 4 }},
 		{"region", func(c *Config) { c.Schedule = ScheduleRegion }},
 		{"region-8-workers", func(c *Config) { c.Schedule = ScheduleRegion; c.Workers = 8 }},
 		{"region-small-lookahead", func(c *Config) { c.Schedule = ScheduleRegion; c.Lookahead = 33 }},
-		{"region-adaptive", func(c *Config) { c.Schedule = ScheduleRegion; c.TargetShardMillis = 20 }},
-		{"fifo-adaptive", func(c *Config) { c.TargetShardMillis = 5 }},
+		{"region-shard4", func(c *Config) { c.Schedule = ScheduleRegion; c.ShardSize = 4 }},
+		{"fifo-shard4", func(c *Config) { c.ShardSize = 4 }},
 	} {
 		cfg := base
 		tc.mut(&cfg)
@@ -63,9 +63,9 @@ func TestScheduleEquivalenceAtFourWorkers(t *testing.T) {
 }
 
 // TestScheduleEquivalenceProperty is a randomized property test: across
-// random corpus subsets, shard sizes, worker counts, lookaheads, and
-// duration targets, the fifo, coverage, and region schedules converge to
-// identical final findings.
+// random corpus subsets, shard sizes, worker counts, and lookaheads, the
+// fifo, coverage, and region schedules converge to identical final
+// findings.
 func TestScheduleEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test is slow")
@@ -85,10 +85,9 @@ func TestScheduleEquivalenceProperty(t *testing.T) {
 			Workers:            1 + rng.Intn(8),
 			ShardSize:          1 + rng.Intn(16),
 			Lookahead:          16 + rng.Intn(256),
-			TargetShardMillis:  []int{0, 0, 5, 50}[rng.Intn(4)],
 		}
-		name := fmt.Sprintf("trial %d (corpus[%d:%d] variants=%d workers=%d shard=%d lookahead=%d target=%dms)",
-			trial, lo, hi, cfg.MaxVariantsPerFile, cfg.Workers, cfg.ShardSize, cfg.Lookahead, cfg.TargetShardMillis)
+		name := fmt.Sprintf("trial %d (corpus[%d:%d] variants=%d workers=%d shard=%d lookahead=%d)",
+			trial, lo, hi, cfg.MaxVariantsPerFile, cfg.Workers, cfg.ShardSize, cfg.Lookahead)
 		fifoCfg := cfg
 		fifoCfg.Schedule = ScheduleFIFO
 		fifoRep, err := Run(fifoCfg)
@@ -112,9 +111,11 @@ func TestScheduleEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// scheduleCurve runs the bundled corpus single-worker (making the dispatch
-// order, and thus the curve, deterministic) and reports how many variants
-// the campaign needed to reach its full final site coverage.
+// scheduleCurve runs the bundled corpus single-worker and reports how many
+// variants the campaign needed to reach its full final site coverage. One
+// worker does not make the curve deterministic: the worker takes its next
+// task before the aggregator has observed the previous result, so the
+// count can vary a little from run to run.
 func scheduleCurve(tb testing.TB, schedule string) (rep *Report, variantsToFull int) {
 	rep, err := Run(Config{
 		Corpus:             corpus.Seeds(),

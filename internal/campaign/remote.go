@@ -15,17 +15,18 @@ import (
 // dispatch steering, the seq-ordered merge, checkpointing) stays on the
 // coordinator in a RemoteEngine, and everything below it (instantiation,
 // oracle, compilers, classification) runs wherever a Planner lives. The
-// two halves communicate only through TaskSpec and ShardResult — plain
-// serializable values — so any transport (internal/fabric's HTTP service,
-// a loopback in tests) can carry them without touching determinism: the
-// shard task sequence is a pure function of Config, every worker derives
-// the identical plan from the same Config, every part of a shard's result
-// the merge reads is a pure function of its TaskSpec, and the merge
-// consumes results strictly in seq order. Crashed, duplicated, reordered,
-// or re-executed shards therefore cannot change the Report, and Deliver
-// accepts each seq exactly once. A re-executed shard may differ only in
-// the BugID of a wrong-code symptom the merge discards: the Planner's
-// per-file attribution table lets a variant skip the search once a
+// two halves of a fabric campaign communicate only through TaskSpec and
+// ShardResult — plain serializable values — so any transport
+// (internal/fabric's HTTP service, a loopback in tests) can carry them
+// without touching determinism: the shard task sequence is a pure
+// function of Config, every worker derives the identical plan from the
+// same Config, every part of a shard's result the merge reads is a pure
+// function of its TaskSpec, and the merge consumes results strictly in
+// seq order. Crashed, duplicated, reordered, or re-executed shards
+// therefore cannot change the Report, and Deliver accepts each seq
+// exactly once. A re-executed shard may differ only in the BugID of a
+// wrong-code symptom the merge discards: the Planner's per-file
+// attribution table lets a variant skip the search once a
 // lower-positioned variant of its file has claimed the key (attrTable).
 
 // TaskSpec is the serializable identity of one shard task: enough for a
@@ -89,8 +90,8 @@ type ShardResult struct {
 }
 
 // validate rejects config values the engine would reject, shared by the
-// in-process engine and both remote halves so a coordinator and its
-// workers fail identically on a bad config.
+// engine and the Planner so a coordinator and its workers fail
+// identically on a bad config.
 func (c Config) validate() error {
 	if c.Schedule != ScheduleFIFO && c.Schedule != ScheduleCoverage && c.Schedule != ScheduleRegion {
 		return fmt.Errorf("campaign: unknown schedule %q (want %q, %q, or %q)",
@@ -184,34 +185,41 @@ func shardResultOf(r *taskResult) *ShardResult {
 	return w
 }
 
-// RemoteEngine is the coordinator half of the remote bridge: it owns the
+// RemoteEngine is the campaign's one dispatch/merge core: it owns the
 // plan, the dispatch scheduler (coverage steering included), the
-// seq-ordered aggregator, and checkpointing — everything runEngine does
-// except execute shards. A transport layer (internal/fabric) drives it
+// seq-ordered aggregator, and checkpointing — everything except executing
+// shards. Two drivers feed it. The in-process Run drains it with local
+// goroutines (runLocal). A transport layer (internal/fabric) drives it
 // through three calls: NextTask hands out the next shard to lease,
 // Requeue returns an abandoned lease's task to the front of the queue,
-// and Deliver folds a completed shard back in. The engine enforces the
-// same dispatch-window invariant as the in-process producer (at most
-// Lookahead tasks outstanding, the last slot forced head-of-line), so the
-// reorder buffer stays bounded and the merge cursor can never starve.
+// and Deliver folds a completed shard back in.
+//
+// Both drivers dispatch through one window (nextLocked): a dispatched
+// task holds a credit until it merges, so at most Lookahead tasks are
+// issued or buffered at once, and the last free credit goes head-of-line.
+// The reorder buffer therefore stays bounded, and the merge cursor can
+// never starve.
 //
 // All methods are safe for concurrent use; Deliver is idempotent per seq
-// (duplicates from zombie workers are discarded), and the checkpoint
-// format is exactly the in-process engine's, so a coordinator crash
-// resumes with ResumeRemoteEngine — or even as a plain in-process
-// campaign.Resume — from the same file.
+// (duplicates from zombie workers are discarded), and a coordinator's
+// checkpoint is the in-process engine's, so a coordinator crash resumes
+// with ResumeRemoteEngine — or even as a plain in-process campaign.Resume
+// — from the same file.
 type RemoteEngine struct {
-	mu  sync.Mutex
-	cfg Config
-	all []*task
+	mu sync.Mutex
+	// cond wakes local takers waiting on a full window; every delivery
+	// broadcasts it.
+	cond *sync.Cond
+	cfg  Config
+	all  []*task
 
 	sched *scheduler
 	st    *aggState
 	tel   *Telemetry
 
 	pending map[int]*taskResult
-	// issued tracks seqs leased out but not yet delivered; its size is the
-	// outstanding count bounded by Lookahead.
+	// issued tracks seqs dispatched but not yet merged; each holds one of
+	// the Lookahead window credits.
 	issued map[int]bool
 	// requeue holds issued seqs whose lease was abandoned, kept sorted so
 	// re-leases go lowest-seq-first (head-of-line recovers fastest).
@@ -219,16 +227,15 @@ type RemoteEngine struct {
 	finalized bool
 }
 
-// NewRemoteEngine builds a coordinator core for a fresh campaign.
+// NewRemoteEngine builds the core of a fresh campaign.
 func NewRemoteEngine(cfg Config) (*RemoteEngine, error) {
 	cfg = cfg.withDefaults()
 	return newRemoteEngine(cfg, newAggState())
 }
 
-// ResumeRemoteEngine builds a coordinator core from a checkpoint written
-// by a previous coordinator (or by the in-process engine — the formats
-// are identical). tel attaches fresh telemetry (never persisted); nil is
-// fine.
+// ResumeRemoteEngine builds a campaign core from a checkpoint written by
+// a previous coordinator or in-process run (the formats are identical).
+// tel attaches fresh telemetry (never persisted); nil is fine.
 func ResumeRemoteEngine(path string, tel *Telemetry) (*RemoteEngine, error) {
 	cfg, st, err := loadCheckpoint(path)
 	if err != nil {
@@ -244,6 +251,9 @@ func newRemoteEngine(cfg Config, st *aggState) (*RemoteEngine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	// the task sequence is derived up front (it is a pure function of the
+	// config) so the scheduler can prioritize over the whole campaign;
+	// tasks the checkpoint has already merged are excluded at st.nextSeq
 	all, err := buildAllTasks(cfg)
 	if err != nil {
 		return nil, err
@@ -257,6 +267,7 @@ func newRemoteEngine(cfg Config, st *aggState) (*RemoteEngine, error) {
 		pending: make(map[int]*taskResult),
 		issued:  make(map[int]bool),
 	}
+	e.cond = sync.NewCond(&e.mu)
 	st.tel = e.tel
 	e.tel.campaignStarted(cfg, all, st.nextSeq)
 	e.tel.attachRegions(cfg, e.sched)
@@ -278,13 +289,6 @@ func (e *RemoteEngine) MergedTasks() int {
 	return e.st.nextSeq
 }
 
-// Outstanding returns how many leased tasks have not been delivered yet.
-func (e *RemoteEngine) Outstanding() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.issued)
-}
-
 // Done reports whether every shard task has been merged.
 func (e *RemoteEngine) Done() bool {
 	e.mu.Lock()
@@ -294,31 +298,60 @@ func (e *RemoteEngine) Done() bool {
 
 // NextTask hands out the next shard task to lease. ok=false means nothing
 // is leasable right now: either the campaign is complete, every remaining
-// task is already leased, or the dispatch window is full (Deliver will
+// task is already leased, or the dispatch window is full (a merge will
 // free it). Abandoned tasks handed back through Requeue are re-issued
 // first, lowest seq first.
 func (e *RemoteEngine) NextTask() (TaskSpec, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	t := e.nextLocked()
+	if t == nil {
+		return TaskSpec{}, false
+	}
+	return specOf(t), true
+}
+
+// nextLocked is the dispatch window both drivers share. A re-lease keeps
+// the credit its seq already holds; a fresh dispatch needs a free credit,
+// and the last free credit must go head-of-line so the merge cursor is
+// always supplied (see scheduler.pop). nil means nothing is dispatchable
+// now: the window is full, or every task has been dispatched.
+func (e *RemoteEngine) nextLocked() *task {
 	if len(e.requeue) > 0 {
 		seq := e.requeue[0]
 		e.requeue = e.requeue[1:]
-		e.tel.observeDispatch(1)
-		return specOf(e.all[seq]), true
+		e.tel.observeDispatch()
+		return e.all[seq]
 	}
-	outstanding := len(e.issued)
-	if outstanding >= e.cfg.Lookahead {
-		return TaskSpec{}, false // window full: wait for a merge
+	free := e.cfg.Lookahead - len(e.issued)
+	if free <= 0 {
+		return nil
 	}
-	// mirror the in-process producer's credit discipline: the last free
-	// slot must go head-of-line so the merge cursor is always supplied
-	t, ok := e.sched.pop(outstanding == e.cfg.Lookahead-1)
+	t, ok := e.sched.pop(free == 1)
 	if !ok {
-		return TaskSpec{}, false // everything dispatched
+		return nil
 	}
 	e.issued[t.seq] = true
-	e.tel.observeDispatch(1)
-	return specOf(t), true
+	e.tel.observeDispatch()
+	return t
+}
+
+// take is the local driver's NextTask: it blocks while the window is
+// full, and returns nil once every task has been dispatched or ctx is
+// done (runLocal wakes waiters on cancellation).
+func (e *RemoteEngine) take(ctx context.Context) *task {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for ctx.Err() == nil {
+		if t := e.nextLocked(); t != nil {
+			return t
+		}
+		if len(e.issued) < e.cfg.Lookahead {
+			return nil // a free credit but nothing left to pop
+		}
+		e.cond.Wait()
+	}
+	return nil
 }
 
 // Requeue returns an issued-but-undelivered task to the lease queue (the
@@ -328,7 +361,7 @@ func (e *RemoteEngine) NextTask() (TaskSpec, bool) {
 func (e *RemoteEngine) Requeue(seq int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.issued[seq] {
+	if !e.issued[seq] || e.pending[seq] != nil {
 		return
 	}
 	for _, q := range e.requeue {
@@ -360,21 +393,34 @@ func (e *RemoteEngine) Deliver(res *ShardResult) (accepted bool, err error) {
 	if res.Seq < e.st.nextSeq || e.pending[res.Seq] != nil {
 		return false, nil // duplicate: already merged or buffered
 	}
-	r := taskResultOf(res, t)
-	// steering feedback on arrival, exactly as the in-process aggregator
-	// feeds the scheduler before the ordered merge
+	return true, e.deliverLocked(taskResultOf(res, t))
+}
+
+// deliver is the local driver's Deliver: the result comes straight from
+// runTask, worker-local telemetry (shardObs) included, and each seq runs
+// exactly once.
+func (e *RemoteEngine) deliver(r *taskResult) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.deliverLocked(r)
+}
+
+// deliverLocked feeds a first-arriving result to the scheduler, buffers
+// it, and merges the in-order prefix, checkpointing on cadence. Each
+// merge frees its task's window credit, so it wakes waiting takers.
+func (e *RemoteEngine) deliverLocked(r *taskResult) error {
+	defer e.cond.Broadcast()
+	// steering feedback on arrival, before the ordered merge, so it reaches
+	// dispatch decisions as early as possible
 	point, novel, rp := e.sched.observe(r)
 	if e.tel != nil {
 		e.tel.observeSteering(e.sched.costSample(), point, novel, rp)
 	}
-	e.pending[res.Seq] = r
-	if e.issued[res.Seq] {
-		delete(e.issued, res.Seq)
-		for i, q := range e.requeue {
-			if q == res.Seq { // its re-lease became moot
-				e.requeue = append(e.requeue[:i], e.requeue[i+1:]...)
-				break
-			}
+	e.pending[r.seq] = r
+	for i, q := range e.requeue {
+		if q == r.seq { // its re-lease became moot
+			e.requeue = append(e.requeue[:i], e.requeue[i+1:]...)
+			break
 		}
 	}
 	for {
@@ -383,18 +429,19 @@ func (e *RemoteEngine) Deliver(res *ShardResult) (accepted bool, err error) {
 			break
 		}
 		delete(e.pending, e.st.nextSeq)
+		delete(e.issued, e.st.nextSeq)
 		e.st.merge(e.cfg, nr)
 		e.st.nextSeq++
 		e.st.sinceCkpt++
 		e.sched.advance(e.st.nextSeq)
 		if e.cfg.CheckpointPath != "" && e.st.sinceCkpt >= e.cfg.CheckpointEvery {
 			if err := e.checkpointLocked(); err != nil {
-				return true, err
+				return err
 			}
 		}
 	}
 	e.tel.observeAggregator(len(e.pending))
-	return true, nil
+	return nil
 }
 
 // seqOf is a nil-safe accessor for error messages.
@@ -431,10 +478,9 @@ func taskResultOf(w *ShardResult, t *task) *taskResult {
 	return r
 }
 
-// Checkpoint forces a checkpoint write of the current merged state (the
-// transport's clean-shutdown path: SIGINT or a fatal fabric error should
-// persist progress instead of abandoning it). A no-op without a
-// CheckpointPath or when nothing changed since the last write.
+// Checkpoint forces a checkpoint write of the current merged state. A
+// no-op without a CheckpointPath or when nothing changed since the last
+// write.
 func (e *RemoteEngine) Checkpoint() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -457,9 +503,17 @@ func (e *RemoteEngine) checkpointLocked() error {
 	return nil
 }
 
-// Finalize assembles the Report after every task has merged. It matches
-// runEngine's epilogue exactly, so a loopback fabric campaign formats
-// byte-identically to the in-process engine.
+// Shutdown ends a campaign that will not finish: it persists the merged
+// prefix (see Checkpoint), so a resumed campaign continues from exactly
+// where this one stopped, and marks telemetry done. Both drivers call it
+// on any failure or cancellation.
+func (e *RemoteEngine) Shutdown() error {
+	e.tel.campaignDone()
+	return e.Checkpoint()
+}
+
+// Finalize assembles the Report after every task has merged: the one
+// report epilogue, whichever driver ran the campaign.
 func (e *RemoteEngine) Finalize() (*Report, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -473,6 +527,8 @@ func (e *RemoteEngine) Finalize() (*Report, error) {
 	e.tel.campaignDone()
 	rep := e.st.finalize(e.cfg)
 	rep.CoverageCurve = e.sched.curveSnapshot()
+	// the plan schedule is a pure function of the config, so it is derived
+	// fresh here (never checkpointed) and identical across resumes
 	for _, t := range e.all {
 		if t.newFile {
 			rep.Plans = append(rep.Plans, t.plan.info())

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // Regression tests for context-driven shutdown: a canceled campaign must
@@ -32,19 +31,7 @@ func TestShutdownCheckpointsMergedPrefix(t *testing.T) {
 	cfg.Telemetry = tel
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-			if tel.Status().Shards.Merged >= 3 {
-				cancel()
-				return
-			}
-		}
-	}()
+	cancelWhen(ctx, cancel, func() bool { return tel.Status().Shards.Merged >= 3 })
 	_, err := RunContext(ctx, cfg)
 	cancel()
 	if err == nil {

@@ -43,7 +43,6 @@ type Telemetry struct {
 	shardsDispatched *obs.Counter
 	shardsMerged     *obs.Counter
 	shardLatencyMs   *obs.Histogram
-	batchSize        *obs.Histogram
 
 	stageInstantiateNs *obs.Counter
 	stageOracleNs      *obs.Counter
@@ -125,7 +124,6 @@ func NewTelemetry() *Telemetry {
 		shardsDispatched: reg.Counter("spe_shards_dispatched_total", "Shard tasks handed to workers."),
 		shardsMerged:     reg.Counter("spe_shards_merged_total", "Shard results merged in canonical order."),
 		shardLatencyMs:   reg.Histogram("spe_shard_latency_ms", "Wall-clock per shard task, milliseconds.", obs.ExpBuckets(1, 2, 12)),
-		batchSize:        reg.Histogram("spe_batch_size", "Shard tasks grouped per adaptive dispatch batch.", obs.ExpBuckets(1, 2, 7)),
 
 		stageInstantiateNs: reg.Counter("spe_stage_ns_total", "Per-stage wall-clock split, nanoseconds.", obs.L("stage", "instantiate")),
 		stageOracleNs:      reg.Counter("spe_stage_ns_total", "Per-stage wall-clock split, nanoseconds.", obs.L("stage", "oracle")),
@@ -148,7 +146,7 @@ func NewTelemetry() *Telemetry {
 		refvmCycleSkips:      reg.Counter("spe_refvm_loop_skips_total", "Step-limited oracle runs the loop detector cut short, by proof.", obs.L("proof", "cycle")),
 		refvmCounterSkips:    reg.Counter("spe_refvm_loop_skips_total", "Step-limited oracle runs the loop detector cut short, by proof.", obs.L("proof", "counter")),
 
-		costNsPerVariant: reg.Gauge("spe_cost_ns_per_variant", "EWMA per-variant wall-clock cost model (adaptive shard sizing)."),
+		costNsPerVariant: reg.Gauge("spe_cost_ns_per_variant", "EWMA per-variant wall-clock cost model."),
 		reorderPending:   reg.Gauge("spe_reorder_pending_shards", "Shard results buffered awaiting in-order merge."),
 		mergeLagShards:   reg.Gauge("spe_merge_lag_shards", "Dispatched-but-not-yet-merged shard tasks."),
 		coverageSites:    reg.Gauge("spe_coverage_sites", "Distinct minicc instrumentation sites on the coverage frontier."),
@@ -290,13 +288,12 @@ func (t *Telemetry) campaignDone() {
 	t.ring.Publish("campaign", map[string]interface{}{"state": "done"})
 }
 
-// observeDispatch records one producer dispatch of a shard batch.
-func (t *Telemetry) observeDispatch(batch int) {
+// observeDispatch records one shard task handed out.
+func (t *Telemetry) observeDispatch() {
 	if t == nil {
 		return
 	}
-	t.shardsDispatched.Add(int64(batch))
-	t.batchSize.Observe(float64(batch))
+	t.shardsDispatched.Inc()
 }
 
 // observeMerge folds one merged shard result into the counters. Called

@@ -42,9 +42,6 @@ type Scale struct {
 	// "coverage" steers dispatch by coverage novelty). Tables are
 	// identical under either policy — only wall-clock shape changes.
 	Schedule string
-	// TargetShardMillis enables the campaign engine's adaptive shard
-	// sizing (0 = fixed shards).
-	TargetShardMillis int
 	// Dispatch selects the bytecode oracle's instruction dispatch engine
 	// ("" = threaded, the fused and specialized handler table; "switch" =
 	// the monolithic opcode switch baseline). Tables are identical under
@@ -297,7 +294,6 @@ func Campaign(scale Scale, versions []string) (*campaign.Report, error) {
 		Workers:            scale.Workers,
 		CheckpointPath:     scale.Checkpoint,
 		Schedule:           scale.Schedule,
-		TargetShardMillis:  scale.TargetShardMillis,
 		Dispatch:           scale.Dispatch,
 		BackendDispatch:    scale.BackendDispatch,
 		Paranoid:           scale.Paranoid,

@@ -59,8 +59,10 @@ func ScheduleBench(scale Scale) (string, error) {
 		Versions:           []string{"trunk"},
 		Threshold:          -1,
 		MaxVariantsPerFile: scheduleBenchBudget,
-		// one worker and a whole-campaign lookahead make the dispatch
-		// order — and with it the coverage curve — deterministic
+		// one worker and a whole-campaign lookahead let the policy order
+		// the whole walk; the curve is still not deterministic, because
+		// the worker takes its next task before the aggregator has
+		// observed the previous result
 		Workers:       1,
 		ShardSize:     4,
 		Lookahead:     1 << 12,

@@ -326,8 +326,9 @@ func (c *Coordinator) Err() error {
 // Wait blocks until the campaign completes, fails, or ctx is canceled,
 // sweeping expired leases in the background so silent workers cannot
 // stall it. On completion it returns the finalized Report; on failure or
-// cancellation it checkpoints merged progress (so a restarted
-// coordinator resumes instead of recomputing) and returns the error.
+// cancellation it shuts the engine down, which checkpoints merged
+// progress (so a restarted coordinator resumes instead of recomputing)
+// and marks telemetry done, and returns the error.
 func (c *Coordinator) Wait(ctx context.Context) (*campaign.Report, error) {
 	tick := c.opts.LeaseTimeout / 4
 	if tick < 10*time.Millisecond {
@@ -341,13 +342,13 @@ func (c *Coordinator) Wait(ctx context.Context) (*campaign.Report, error) {
 			c.mu.Lock()
 			c.failLocked(ctx.Err())
 			c.mu.Unlock()
-			if err := c.core.Checkpoint(); err != nil {
+			if err := c.core.Shutdown(); err != nil {
 				return nil, fmt.Errorf("fabric: shutdown checkpoint: %w (after %w)", err, ctx.Err())
 			}
 			return nil, ctx.Err()
 		case <-c.done:
 			if err := c.Err(); err != nil {
-				c.core.Checkpoint()
+				c.core.Shutdown()
 				return nil, err
 			}
 			return c.core.Finalize()

@@ -84,6 +84,36 @@ func runFabric(t *testing.T, cfg campaign.Config, workers int, opts Options, tra
 
 func local(c *Coordinator) Transport { return &LocalTransport{C: c} }
 
+// cancelWhen cancels ctx once cond holds, polling every millisecond.
+func cancelWhen(ctx context.Context, cancel context.CancelFunc, cond func() bool) {
+	go func() {
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if cond() {
+				cancel()
+				return
+			}
+		}
+	}()
+}
+
+// checkpointMerged reports whether path holds a checkpoint of at least n
+// merged shard tasks — the moment the kill/resume tests cancel at.
+func checkpointMerged(path string, n int) func() bool {
+	return func() bool {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return false
+		}
+		var ck struct{ NextSeq int }
+		return json.Unmarshal(data, &ck) == nil && ck.NextSeq >= n
+	}
+}
+
 // TestFabricEquivalenceMatrix crosses worker count x schedule over the
 // loopback transport against a one-worker in-process -paranoid run, which
 // checks every variant's verdicts against fresh references.
@@ -198,26 +228,7 @@ func TestFabricCoordinatorKillAndResume(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			var ck struct {
-				NextSeq int
-			}
-			if json.Unmarshal(data, &ck) == nil && ck.NextSeq >= 3 {
-				cancel()
-				return
-			}
-		}
-	}()
+	cancelWhen(ctx, cancel, checkpointMerged(path, 3))
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -263,6 +274,52 @@ func TestFabricCoordinatorKillAndResume(t *testing.T) {
 	}
 }
 
+// TestFabricStoppedCoordinatorMarksTelemetryDone cancels a checkpointed
+// coordinator mid-campaign and asserts its shutdown leaves /status at
+// running=false and persists a merged prefix that resumes to the
+// in-process baseline.
+func TestFabricStoppedCoordinatorMarksTelemetryDone(t *testing.T) {
+	cfg := baseConfig()
+	want := inProcessBaseline(t, cfg)
+
+	tel := campaign.NewTelemetry()
+	path := filepath.Join(t.TempDir(), "stopped.ckpt.json")
+	cfg.Telemetry = tel
+	cfg.CheckpointPath = path
+	core, err := campaign.NewRemoteEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(core, Options{LeaseTimeout: 30 * time.Second})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelWhen(ctx, cancel, func() bool { return core.MergedTasks() >= 2 })
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		w := &Worker{Transport: local(coord), ID: "stopped", RetryBackoff: time.Millisecond}
+		w.Run(ctx) // exits on cancellation
+	}()
+	_, err = coord.Wait(ctx)
+	cancel()
+	wg.Wait()
+	if err == nil {
+		t.Skip("campaign completed before cancellation; nothing to regression-test")
+	}
+	if tel.Status().Running {
+		t.Error("a canceled coordinator left its telemetry /status at running=true")
+	}
+	rep, err := campaign.Resume(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Format(); got != want {
+		t.Errorf("resumed report diverges:\n--- resumed ---\n%s--- in-process ---\n%s", got, want)
+	}
+}
+
 // TestFabricResumeInterchangeable pins checkpoint compatibility in the
 // other direction: a fabric coordinator's checkpoint resumes as a plain
 // in-process campaign.Resume.
@@ -284,24 +341,7 @@ func TestFabricResumeInterchangeable(t *testing.T) {
 	coord := NewCoordinator(core, Options{LeaseTimeout: 30 * time.Second})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-			if data, err := os.ReadFile(path); err == nil {
-				var ck struct {
-					NextSeq int
-				}
-				if json.Unmarshal(data, &ck) == nil && ck.NextSeq >= 2 {
-					cancel()
-					return
-				}
-			}
-		}
-	}()
+	cancelWhen(ctx, cancel, checkpointMerged(path, 2))
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

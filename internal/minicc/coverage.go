@@ -255,6 +255,17 @@ func (c *Coverage) hitOp(f *opFamily, op string) {
 	}
 }
 
+// addPeriods adds k more periods of hits to every site, one period being
+// the hits recorded since base was copied from the counts.
+func (c *Coverage) addPeriods(base []int, k int64) {
+	if c == nil {
+		return
+	}
+	for i, n := range base {
+		c.counts[i] += int(k) * (c.counts[i] - n)
+	}
+}
+
 // Record is the error-returning form of Hit for campaign-facing callers:
 // an unregistered site is reported instead of panicking, and the hit is
 // retained in the unknown-site tally for diagnosis via Err.

@@ -65,9 +65,9 @@ type Cache struct {
 // were lowered (once per skeleton per cache), how many compilations were
 // served by trace replay + patch, and how many fell back to a fresh
 // lowering (unsupported templates, '&'-holes, shape changes). It also
-// splits executions by dispatch engine and counts batched runs. Plain
-// ints — the cache is single-goroutine — read by the campaign's
-// telemetry once per shard.
+// splits executions by dispatch engine, counts batched runs, and counts
+// the runs the loop detector cut short. Plain ints — the cache is
+// single-goroutine — read by the campaign's telemetry once per shard.
 type CacheStats struct {
 	TemplateBuilds int64
 	Replays        int64
@@ -79,6 +79,9 @@ type CacheStats struct {
 	// RunBatch calls themselves.
 	BatchRuns int64
 	Batches   int64
+	// LoopSkips counts executions the threaded loop's loop detector cut
+	// short (see loop.go).
+	LoopSkips int64
 }
 
 // Sub returns the stats delta since base.
@@ -91,6 +94,7 @@ func (s CacheStats) Sub(base CacheStats) CacheStats {
 		SwitchRuns:     s.SwitchRuns - base.SwitchRuns,
 		BatchRuns:      s.BatchRuns - base.BatchRuns,
 		Batches:        s.Batches - base.Batches,
+		LoopSkips:      s.LoopSkips - base.LoopSkips,
 	}
 }
 
@@ -123,7 +127,8 @@ func (ca *Cache) template(prog *cc.Program, holes []*cc.Ident) *irTemplate {
 // reuse-on/off report equivalence tests. With paranoid set, every
 // template-derived lowering is additionally compared against a fresh
 // Lower of the same program; a divergence is returned as a non-nil error
-// (the campaign aborts on it).
+// (the campaign aborts on it), and so is a divergence of an execution the
+// loop detector cut short from a fresh run of the switch loop.
 //
 // Ownership: the returned outcome (including Compile.Program) aliases the
 // cache's scratch clone and is valid until the next RunCached on the same
@@ -165,7 +170,8 @@ func (c *Compiler) RunBatch(ca *Cache, prog *cc.Program, holes []*cc.Ident, para
 
 // runOnce is the per-variant core shared by RunCached and RunBatch:
 // replay-or-relower, optional paranoid cross-check, optimization passes,
-// execution.
+// execution, and under paranoid a switch-loop re-run of an execution the
+// loop detector cut short.
 func (c *Compiler) runOnce(ca *Cache, tm *irTemplate, prog *cc.Program, bugs *BugSet, cfg ExecConfig, paranoid bool) (*RunOutcome, error) {
 	cov := c.Coverage
 	irp, usedTemplate, lerr := lowerFrom(tm, prog, bugs, cov)
@@ -225,8 +231,30 @@ func (c *Compiler) runOnce(ca *Cache, tm *irTemplate, prog *cc.Program, bugs *Bu
 			ca.stats.ThreadedRuns++
 		}
 		ro.Exec = executeWith(ca.exec, out.Program, bugs, cov, cfg)
+		if ca.exec.loop.skipped {
+			ca.stats.LoopSkips++
+			if paranoid {
+				cfg.Dispatch = DispatchSwitch
+				if err := sameExec(ro.Exec, Execute(out.Program, bugs, nil, cfg)); err != nil {
+					return nil, fmt.Errorf("paranoid: %s: loop detector: %w", c, err)
+				}
+			}
+		}
 	}
 	return ro, nil
+}
+
+// sameExec compares every ExecResult field of a run the loop detector cut
+// short with the switch loop's run of the same program.
+func sameExec(got, want *ExecResult) error {
+	if *got == *want {
+		return nil
+	}
+	if got.Output != want.Output {
+		return fmt.Errorf("output differs from the switch loop's (%d vs %d bytes)", len(got.Output), len(want.Output))
+	}
+	return fmt.Errorf("exit=%d trap=%q timeout=%v aborted=%v steps=%d, switch loop exit=%d trap=%q timeout=%v aborted=%v steps=%d",
+		got.Exit, got.Trap, got.Timeout, got.Aborted, got.Steps, want.Exit, want.Trap, want.Timeout, want.Aborted, want.Steps)
 }
 
 // lowerFrom produces the variant's lowered IR: from the template when every

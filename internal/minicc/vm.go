@@ -74,8 +74,12 @@ type vm struct {
 	strs    map[string]*interp.Object
 	out     []byte
 	steps   int64
-	depth   int
-	nextID  int
+	// stop is where the threaded loop's block tick enters its slow path:
+	// min(MaxSteps, the loop detector's next stop) (see loop.go)
+	stop   int64
+	depth  int
+	nextID int
+	calls  int64 // call instances so far; numbers each frame for the detector
 	// brReady/brTaken carry a fused OpCmpBr's verdict to the block's
 	// TermBr terminator; the comparison is always the block's last
 	// instruction, so the flag never survives past the next terminator.
@@ -84,19 +88,21 @@ type vm struct {
 }
 
 // execState is the VM's reusable machine state: the global/static/string
-// environments, the output buffer, an object slab, and a register-file free
-// list. One execState serves many Execute runs in sequence (the campaign's
+// environments, the output buffer, an object slab, a register-file free
+// list, and the loop detector's buffers. One execState serves many Execute runs in sequence (the campaign's
 // per-worker backend cache holds one); reset clears the environments and
 // rewinds the slab instead of reallocating. Strictly single-goroutine.
 type execState struct {
 	globals  map[*cc.Symbol]*interp.Object
 	statics  map[*cc.Symbol]*interp.Object
 	strs     map[string]*interp.Object
+	strObjs  []*interp.Object // strs' objects in intern order
 	out      []byte
 	objs     []*interp.Object
 	objUsed  int
 	regsFree [][]interp.Value
 	argsFree [][]interp.Value
+	loop     loopState
 }
 
 func newExecState() *execState {
@@ -117,8 +123,10 @@ func (st *execState) reset() {
 	for k := range st.strs {
 		delete(st.strs, k)
 	}
+	st.strObjs = st.strObjs[:0]
 	st.out = st.out[:0]
 	st.objUsed = 0
+	st.loop.reset()
 }
 
 // allocObj hands out a slab object. Cells of reused objects are NOT
@@ -208,6 +216,7 @@ func executeWith(st *execState, p *Program, bugs *BugSet, cov *Coverage, cfg Exe
 		statics: st.statics,
 		strs:    st.strs,
 		out:     st.out,
+		stop:    min(cfg.MaxSteps, firstProbe),
 	}
 	res = &ExecResult{}
 	defer func() {
@@ -415,6 +424,7 @@ func (m *vm) internStr(s string) *interp.Object {
 		}
 		obj.Cells[len(s)] = interp.Cell{Val: interp.IntValue(0, cc.TypeChar), Init: true}
 		m.strs[s] = obj
+		m.st.strObjs = append(m.st.strObjs, obj)
 	}
 	return obj
 }
@@ -427,6 +437,8 @@ func (m *vm) call(f *Func, args []interp.Value) (interp.Value, bool) {
 	}
 	m.depth++
 	defer func() { m.depth-- }()
+	m.calls++
+	call := m.calls
 
 	regs := m.st.getRegs(f.NumRegs + 1)
 	defer m.st.putRegs(regs)
@@ -467,15 +479,19 @@ func (m *vm) call(f *Func, args []interp.Value) (interp.Value, bool) {
 	for {
 		// one tick per block transition: empty-block cycles (a miscompiled
 		// infinite loop whose body folded away) must still exhaust the
-		// step budget
-		m.tick()
+		// step budget. The threaded loop's tick also stops for the loop
+		// detector.
 		ins := b.Instrs
 		if threaded {
+			if m.steps++; m.steps > m.stop {
+				m.atStop(call, b, regs)
+			}
 			for i := 0; i < len(ins); {
 				m.tick()
 				i += opHandlers[ins[i].Op](m, f, b, ins, i, regs, vars)
 			}
 		} else {
+			m.tick()
 			for i := 0; i < len(ins); {
 				m.tick()
 				i += m.execInstrN(f, b, ins, i, regs, vars)

@@ -1,6 +1,8 @@
 package minicc
 
 import (
+	"fmt"
+	"math/big"
 	"testing"
 
 	"spe/internal/cc"
@@ -105,4 +107,85 @@ func TestDifferentialEnumeratedVariants(t *testing.T) {
 		t.Errorf("only %d clean variants differentially checked", checked)
 	}
 	t.Logf("differentially checked %d enumerated variants", checked)
+}
+
+// FuzzMiniccDifferential picks a generated corpus (generator seed), a
+// file of it, a variant rank, a compiler version and -O level, seeded or
+// not, and a step budget between 5 000 and 100 000. The variant runs
+// through a Cache patched from the file's first variant, as in a campaign
+// shard, on the threaded loop (with the loop detector), and fresh on the
+// switch loop (without it). The compile outcome, every ExecResult field
+// and every coverage count must match. The seed entries use only the
+// repository's generator seeds.
+func FuzzMiniccDifferential(f *testing.F) {
+	// files with more holes are skipped: building their enumeration
+	// space takes up to seconds
+	const maxFuzzHoles = 32
+	f.Add(int64(20170618), uint8(0), uint64(0), uint8(3), uint8(0), false, uint32(95_000))
+	f.Add(int64(20170619), uint8(2), uint64(41), uint8(0), uint8(3), true, uint32(0))
+	f.Add(int64(1234), uint8(3), uint64(977), uint8(1), uint8(2), true, uint32(55_000))
+	// a seeded hang the loop detector cuts short
+	f.Add(int64(41), uint8(1), uint64(0), uint8(0), uint8(1), true, uint32(55_000))
+	f.Fuzz(func(t *testing.T, seed int64, file uint8, rank uint64, ver, opt uint8, seeded bool, steps uint32) {
+		maxSteps := 5_000 + int64(steps%95_001)
+		srcs := corpus.Generate(corpus.Config{N: int(file%4) + 1, Seed: seed})
+		prog := cc.MustAnalyze(srcs[len(srcs)-1])
+		sk, err := skeleton.Build(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sk.Holes) > maxFuzzHoles {
+			t.Skip("too many holes")
+		}
+		space, err := spe.NewSpace(sk, spe.Options{Mode: spe.ModeCanonical})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, release, err := space.AcquireAt(new(big.Int))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		c := &Compiler{Version: Versions[int(ver)%len(Versions)], Opt: OptLevels[int(opt)%len(OptLevels)], Seeded: seeded}
+		cfg := ExecConfig{MaxSteps: maxSteps}
+		ca := NewCache()
+		if _, err := c.RunCached(ca, in.Program(), in.HoleIdents(), cfg, false); err != nil {
+			t.Fatal(err)
+		}
+		idx := new(big.Int).Mod(new(big.Int).SetUint64(rank), space.Total())
+		fill, _, err := space.FillDeltaAt(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Instantiate(fill); err != nil {
+			t.Fatal(err)
+		}
+		vprog := in.Program()
+		c.Coverage = NewCoverage()
+		got, err := c.RunCached(ca, vprog, in.HoleIdents(), cfg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotCov := c.Coverage
+		c.Coverage = NewCoverage()
+		ref := c.Run(vprog, ExecConfig{MaxSteps: maxSteps, Dispatch: DispatchSwitch})
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("variant %v, %s, seeded=%v, %d steps: %s\n--- source ---\n%s",
+				idx, c, seeded, maxSteps, fmt.Sprintf(format, args...), cc.PrintFile(vprog.File))
+		}
+		if g, r := compileDigest(got.Compile), compileDigest(ref.Compile); g != r {
+			fail("threaded compile %q, switch %q", g, r)
+		}
+		if got.Exec != nil {
+			if err := sameExec(got.Exec, ref.Exec); err != nil {
+				fail("%v", err)
+			}
+		}
+		for _, site := range Sites() {
+			if g, r := gotCov.SiteCount(site), c.Coverage.SiteCount(site); g != r {
+				fail("coverage site %s: %d hits, switch loop %d", site, g, r)
+			}
+		}
+	})
 }

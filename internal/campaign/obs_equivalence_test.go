@@ -365,3 +365,34 @@ func TestRefvmLoopSkipsCounted(t *testing.T) {
 		}
 	}
 }
+
+// TestMiniccLoopSkipsCounted checks that the compiled binaries' loop
+// detector skips reach spe_minicc_loop_skips_total through the per-shard
+// merge: release 4.8's seeded wrong-code bugs turn some variants of the
+// paper's seeds 5 and 6 into endless loops at -O1 to -O3, and the switch
+// loop, which runs no detector, skips nothing.
+func TestMiniccLoopSkipsCounted(t *testing.T) {
+	for _, dispatch := range []string{BackendDispatchThreaded, BackendDispatchSwitch} {
+		tel := NewTelemetry()
+		cfg := Config{
+			Corpus:             corpus.Seeds()[5:7],
+			Versions:           []string{"4.8"},
+			Threshold:          -1,
+			MaxVariantsPerFile: 100,
+			Workers:            2,
+			BackendDispatch:    dispatch,
+			Telemetry:          tel,
+		}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		skips := tel.miniccLoopSkips.Load()
+		if dispatch == BackendDispatchSwitch {
+			if skips != 0 {
+				t.Errorf("switch dispatch: %d loop skips, want none", skips)
+			}
+		} else if skips == 0 {
+			t.Error("threaded dispatch: no loop skips")
+		}
+	}
+}

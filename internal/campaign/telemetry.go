@@ -56,6 +56,7 @@ type Telemetry struct {
 	miniccSwitchRuns     *obs.Counter
 	miniccBatchRuns      *obs.Counter
 	miniccBatches        *obs.Counter
+	miniccLoopSkips      *obs.Counter
 	refvmCompiles        *obs.Counter
 	refvmPatchRuns       *obs.Counter
 	refvmFallbacks       *obs.Counter
@@ -137,6 +138,7 @@ func NewTelemetry() *Telemetry {
 		miniccSwitchRuns:     reg.Counter("spe_minicc_runs_total", "Compiled-binary executions by instruction dispatch engine.", obs.L("dispatch", "switch")),
 		miniccBatchRuns:      reg.Counter("spe_minicc_batch_runs_total", "Compiled-binary executions served inside a batched per-config shard walk."),
 		miniccBatches:        reg.Counter("spe_minicc_batches_total", "Batched per-config shard walks (one RunBatch per configuration per shard)."),
+		miniccLoopSkips:      reg.Counter("spe_minicc_loop_skips_total", "Shard-walk compiled-binary executions the loop detector cut short."),
 		refvmCompiles:        reg.Counter("spe_refvm_template_compiles_total", "refvm bytecode templates compiled (once per skeleton per cache)."),
 		refvmPatchRuns:       reg.Counter("spe_refvm_patch_runs_total", "Oracle runs served by patching moved holes in cached bytecode."),
 		refvmFallbacks:       reg.Counter("spe_refvm_fallbacks_total", "Oracle runs that fell back to a fresh bytecode compilation."),
@@ -335,6 +337,7 @@ func (t *Telemetry) observeMerge(r *taskResult) {
 		t.miniccSwitchRuns.Add(so.minicc.SwitchRuns)
 		t.miniccBatchRuns.Add(so.minicc.BatchRuns)
 		t.miniccBatches.Add(so.minicc.Batches)
+		t.miniccLoopSkips.Add(so.minicc.LoopSkips)
 		t.refvmCompiles.Add(so.refvm.TemplateCompiles)
 		t.refvmPatchRuns.Add(so.refvm.PatchRuns)
 		t.refvmFallbacks.Add(so.refvm.Fallbacks)

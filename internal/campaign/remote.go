@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -104,6 +105,12 @@ func (c Config) validate() error {
 	if c.BackendDispatch != BackendDispatchThreaded && c.BackendDispatch != BackendDispatchSwitch {
 		return fmt.Errorf("campaign: unknown backend dispatch %q (want %q or %q)",
 			c.BackendDispatch, BackendDispatchThreaded, BackendDispatchSwitch)
+	}
+	for _, v := range c.Versions {
+		// minicc would test an unknown version with trunk's bug set
+		if minicc.VersionIndex(v) < 0 {
+			return fmt.Errorf("campaign: unknown version %q (want one of %s)", v, strings.Join(minicc.Versions, ", "))
+		}
 	}
 	return nil
 }

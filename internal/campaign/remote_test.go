@@ -2,8 +2,36 @@ package campaign
 
 import (
 	"context"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
+
+// TestUnknownVersionRejected pins the version check every entry point
+// shares: a version minicc does not simulate, or an empty name, is an
+// error naming it in Run, the fabric worker's NewPlanner and Resume,
+// instead of a campaign that tests trunk's bug set under that label.
+func TestUnknownVersionRejected(t *testing.T) {
+	src := []string{"int main() { return 0; }"}
+	for _, v := range []string{"6.1", ""} {
+		want := "unknown version " + strconv.Quote(v)
+		cfg := Config{Corpus: src, Versions: []string{"trunk", v}}
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Run with version %q: error %v, want one containing %s", v, err, want)
+		}
+		if _, err := NewPlanner(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("NewPlanner with version %q: error %v, want one containing %s", v, err, want)
+		}
+		path := filepath.Join(t.TempDir(), "ck.json")
+		if err := writeCheckpoint(Config{Corpus: src, Versions: []string{v}, CheckpointPath: path}.withDefaults(), newAggState(), nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Resume(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Resume of a checkpoint with version %q: error %v, want one containing %s", v, err, want)
+		}
+	}
+}
 
 // TestDispatchWindowBoundsReorderBuffer pins the one dispatch window: a
 // dispatched task holds its credit until it merges, not merely until its

@@ -123,8 +123,9 @@ type Config struct {
 	// BackendDispatch selects the minicc VM's instruction dispatch engine
 	// for the compiled binaries under test: BackendDispatchThreaded (the
 	// default) executes the superinstruction-fused IR through a per-opcode
-	// handler table, BackendDispatchSwitch is the monolithic opcode switch
-	// running the same fused code. The two engines are observationally
+	// handler table and cuts provably endless loops short (minicc's loop
+	// detector), BackendDispatchSwitch is the monolithic opcode switch
+	// running the same fused code in full. The two engines are observationally
 	// identical — same seeded crashes, coverage hits, trap/exit/output
 	// verdicts, and step accounting — so reports are byte-identical either
 	// way (pinned by the backend-dispatch-equivalence tests); the knob

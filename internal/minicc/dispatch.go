@@ -7,8 +7,9 @@ import (
 
 // Dispatch strategies for the minicc VM. The threaded engine dispatches
 // through a per-opcode handler table (one indirect call per instruction, no
-// monolithic switch); the switch engine is the fallback/baseline running
-// the exact same (fused) code. Both are equivalence-tested corpus-wide.
+// monolithic switch) and runs the loop detector (loop.go); the switch
+// engine is the fallback/baseline running the exact same (fused) code with
+// no detector. Both are equivalence-tested corpus-wide.
 const (
 	DispatchThreaded = "threaded"
 	DispatchSwitch   = "switch"

@@ -244,8 +244,8 @@ func (c *Compiler) runOnce(ca *Cache, tm *irTemplate, prog *cc.Program, bugs *Bu
 	return ro, nil
 }
 
-// sameExec compares every ExecResult field of a run the loop detector cut
-// short with the switch loop's run of the same program.
+// sameExec compares every ExecResult field of a threaded-loop run with
+// the switch loop's run of the same program.
 func sameExec(got, want *ExecResult) error {
 	if *got == *want {
 		return nil

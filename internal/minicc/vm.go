@@ -89,9 +89,10 @@ type vm struct {
 
 // execState is the VM's reusable machine state: the global/static/string
 // environments, the output buffer, an object slab, a register-file free
-// list, and the loop detector's buffers. One execState serves many Execute runs in sequence (the campaign's
-// per-worker backend cache holds one); reset clears the environments and
-// rewinds the slab instead of reallocating. Strictly single-goroutine.
+// list, and the loop detector's buffers. One execState serves many Execute
+// runs in sequence (the campaign's per-worker backend cache holds one);
+// reset clears the environments and rewinds the slab instead of
+// reallocating. Strictly single-goroutine.
 type execState struct {
 	globals  map[*cc.Symbol]*interp.Object
 	statics  map[*cc.Symbol]*interp.Object

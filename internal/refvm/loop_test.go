@@ -14,20 +14,36 @@ import (
 // at all.
 func TestLoopDetector(t *testing.T) {
 	want := map[string]string{
-		"const-state":                   "cycle",
-		"seed4-goto":                    "cycle",
-		"detached-counter":              "counter",
-		"global-counter-in-call":        "counter",
-		"counter-breaks":                "none",
-		"counter-read-through-pointer":  "none",
-		"counter-read-by-struct-copy":   "none",
-		"counter-read-by-postfix-value": "none",
-		"counter-printed":               "none",
-		"counter-stored":                "none",
-		"block-local-per-iteration":     "none",
-		"counter-overflows":             "counter",
-		"counter-overflows-mid-period":  "counter",
-		"long-counter-underflows":       "counter",
+		"const-state":                         "cycle",
+		"seed4-goto":                          "cycle",
+		"detached-counter":                    "counter",
+		"global-counter-in-call":              "counter",
+		"counter-breaks":                      "none",
+		"counter-read-through-pointer":        "none",
+		"counter-read-by-struct-copy":         "none",
+		"counter-read-by-postfix-value":       "none",
+		"counter-printed":                     "none",
+		"counter-stored":                      "none",
+		"block-local-per-iteration":           "none",
+		"counter-overflows":                   "counter",
+		"counter-overflows-mid-period":        "counter",
+		"long-counter-underflows":             "counter",
+		"seed4-goto-self-update":              "none",
+		"seed13-invariant-sum":                "none",
+		"seed14-continue-self-update":         "none",
+		"self-update-until-bound":             "none",
+		"long-self-update-overflows":          "none",
+		"int-self-update-underflows":          "none",
+		"self-update-margin":                  "none",
+		"long-self-update-down-to-bound":      "none",
+		"counter-equal-now":                   "none",
+		"self-update-reads-counter-twice":     "none",
+		"compound-update-reads-counter-twice": "none",
+		"counter-copied-after-self-update":    "none",
+		"self-update-through-pointer":         "none",
+		"self-update-widens":                  "none",
+		"counter-compared-unsigned":           "none",
+		"update-from-other-counter":           "none",
 	}
 	if len(want) != len(loopPrograms) {
 		t.Fatalf("%d expectations for %d loop programs", len(want), len(loopPrograms))
@@ -63,7 +79,24 @@ func TestLoopDetector(t *testing.T) {
 			if !got.Defined() || got.Output != "100000\n" {
 				t.Errorf("%s: want a defined run printing 100000, got %s", lp.name, resultFields(got))
 			}
-		case "counter-overflows", "counter-overflows-mid-period", "long-counter-underflows":
+		case "self-update-until-bound":
+			if !got.Defined() || got.Output != "250002\n" {
+				t.Errorf("%s: want a defined run printing 250002, got %s", lp.name, resultFields(got))
+			}
+		case "long-self-update-down-to-bound":
+			if !got.Defined() || got.Output != "8999799995\n" {
+				t.Errorf("%s: want a defined run printing 8999799995, got %s", lp.name, resultFields(got))
+			}
+		case "counter-equal-now":
+			if !got.Defined() || got.Output != "50000\n" {
+				t.Errorf("%s: want a defined run printing 50000, got %s", lp.name, resultFields(got))
+			}
+		case "counter-compared-unsigned":
+			if !got.Defined() || got.Output != "0\n" {
+				t.Errorf("%s: want a defined run printing 0, got %s", lp.name, resultFields(got))
+			}
+		case "counter-overflows", "counter-overflows-mid-period", "long-counter-underflows",
+			"long-self-update-overflows", "int-self-update-underflows", "self-update-margin":
 			if got.UB == nil || got.UB.Kind != interp.UBSignedOverflow {
 				t.Errorf("%s: want signed-overflow UB, got %s", lp.name, resultFields(got))
 			}

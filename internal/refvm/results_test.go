@@ -133,6 +133,146 @@ int main() {
     while (b < 1) { a--; b = 0; }
     return b;
 }`},
+	// reductions of the paper seeds' step-limited variants: a goto loop
+	// whose condition reads another variable (file 4), a sum over a
+	// loop-invariant pointer (file 13), a do-while with continue and a
+	// self-update by a variable fixed at 0 (file 14)
+	{"seed4-goto-self-update", `
+int a; int b;
+int main() {
+    if (b)
+        ;
+    else {
+        int c = 0;
+        a = c;
+l1:
+        c = c + 1;
+    }
+    if (a < 3) goto l1;
+    printf("%d\n", a);
+    return 0;
+}`},
+	{"seed13-invariant-sum", `
+int main() {
+    int arr[6] = {1, 2, 3, 4, 5, 6};
+    int *p = arr;
+    int *q = &arr[5];
+    int s = 0;
+    while (p < q) {
+        s += *p;
+        q = p + 1;
+    }
+    printf("%d\n", s);
+    return s & 63;
+}`},
+	{"seed14-continue-self-update", `
+int main() {
+    int i = 0, s = 0;
+    do {
+        i++;
+        if (i == 3) continue;
+        if (s > 7) break;
+        i += s;
+    } while (s < 10);
+    printf("%d %d\n", i, s);
+    return 0;
+}`},
+	// self-updates that end the loop or overflow at a step the skip must
+	// not move
+	{"self-update-until-bound", `
+int main() {
+    int x = 0;
+    for (;;) { x += 3; if (x >= 250000) break; }
+    printf("%d\n", x);
+    return 0;
+}`},
+	{"long-self-update-overflows", `
+int main() {
+    long x = 9223372036854425807L;
+    int b = 0;
+    while (b < 1) { x = x + 7; b = 0; }
+    return b;
+}`},
+	{"int-self-update-underflows", `
+int main() {
+    int x = -2147333648;
+    int b = 0;
+    while (b < 1) { x -= 3; b = 0; }
+    return b;
+}`},
+	{"self-update-margin", `
+int main() {
+    int x = 2147433647;
+    int b = 0;
+    while (b < 1) { x += 1000; x -= 999; b = 0; }
+    return b;
+}`},
+	{"long-self-update-down-to-bound", `
+int main() {
+    long x = 9000000000L;
+    for (;;) { x = x - 5; if (x < 8999800000L) break; }
+    printf("%ld\n", x);
+    return 0;
+}`},
+	// with the detector's probe points, the verified period reads x at
+	// 342, where the equality holds and adds 2 instead of 1: a skip by
+	// that period's delta would exit the loop at the wrong step
+	{"counter-equal-now", `
+int main() {
+    int x = 0;
+    for (;;) {
+        if (x == 342) x += 2; else x += 1;
+        if (x >= 50000) break;
+    }
+    printf("%d\n", x);
+    return 0;
+}`},
+	// reads a self-update or comparison must not accept
+	{"self-update-reads-counter-twice", `
+int main() {
+    int x = 0, b = 0;
+    while (b < 1) { x = x + (x - x + 1); b = 0; }
+    return b;
+}`},
+	{"compound-update-reads-counter-twice", `
+int main() {
+    int x = 0, b = 0;
+    while (b < 1) { x += x - x + 1; b = 0; }
+    return b;
+}`},
+	{"counter-copied-after-self-update", `
+int main() {
+    int x = 0, y = 0, b = 0;
+    while (b < 1) { x = x + 1; y = x; b = 0; }
+    return y;
+}`},
+	{"self-update-through-pointer", `
+int main() {
+    int x = 0, b = 0;
+    int *p = &x;
+    while (b < 1) { *p = *p + 1; b = 0; }
+    return b;
+}`},
+	{"self-update-widens", `
+int main() {
+    int x = 0, b = 0;
+    long d = 1;
+    while (b < 1) { x = x + d; b = 0; }
+    return b;
+}`},
+	{"counter-compared-unsigned", `
+int main() {
+    int x = -60000;
+    for (;;) { x++; if (x < 3u) break; }
+    printf("%d\n", x);
+    return 0;
+}`},
+	{"update-from-other-counter", `
+int main() {
+    int x = 0, y = 0, b = 0;
+    while (b < 1) { y++; x = y + 1; b = 0; }
+    return x;
+}`},
 }
 
 // goldenWalk runs the campaign's walk of one file through a shared Cache:

@@ -145,8 +145,8 @@ func NewTelemetry() *Telemetry {
 		refvmThreadedRuns:    reg.Counter("spe_refvm_runs_total", "Oracle runs by instruction dispatch engine.", obs.L("dispatch", "threaded")),
 		refvmSwitchRuns:      reg.Counter("spe_refvm_runs_total", "Oracle runs by instruction dispatch engine.", obs.L("dispatch", "switch")),
 		refvmBatches:         reg.Counter("spe_refvm_batches_total", "Batched shard oracle walks (one RunBatch per shard)."),
-		refvmCycleSkips:      reg.Counter("spe_refvm_loop_skips_total", "Step-limited oracle runs the loop detector cut short, by proof.", obs.L("proof", "cycle")),
-		refvmCounterSkips:    reg.Counter("spe_refvm_loop_skips_total", "Step-limited oracle runs the loop detector cut short, by proof.", obs.L("proof", "counter")),
+		refvmCycleSkips:      reg.Counter("spe_refvm_loop_skips_total", "Oracle runs the loop detector cut short, by proof.", obs.L("proof", "cycle")),
+		refvmCounterSkips:    reg.Counter("spe_refvm_loop_skips_total", "Oracle runs the loop detector cut short, by proof.", obs.L("proof", "counter")),
 
 		costNsPerVariant: reg.Gauge("spe_cost_ns_per_variant", "EWMA per-variant wall-clock cost model."),
 		reorderPending:   reg.Gauge("spe_reorder_pending_shards", "Shard results buffered awaiting in-order merge."),

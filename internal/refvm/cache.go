@@ -88,8 +88,8 @@ type Cache struct {
 // patching the moved holes in place, runs that fell back to a fresh
 // compilation of the patched tree (type-shape drift), runs by dispatch
 // mode, batched-execution activity (RunBatch runs and the number of
-// batches they arrived in), and step-limited runs the loop detector cut
-// short by each proof (loop.go). Plain ints — the cache is
+// batches they arrived in), and runs the loop detector cut short by each
+// proof (loop.go). Plain ints — the cache is
 // single-goroutine — read by the campaign's telemetry once per shard.
 type CacheStats struct {
 	TemplateCompiles int64

@@ -183,12 +183,28 @@ type paramInfo struct {
 // fnCode is one compiled function. handlers is the threaded-dispatch
 // function-pointer table, parallel to code, built once at compile time
 // (specialized per instruction where operand kinds are provable).
+// selfUpdates maps the pc of each self-update statement's read to the
+// statement.
 type fnCode struct {
-	name     string
-	code     []instr
-	handlers []opFunc
-	params   []paramInfo
-	nslots   int32
+	name        string
+	code        []instr
+	handlers    []opFunc
+	params      []paramInfo
+	nslots      int32
+	selfUpdates map[int32]selfUpdate
+}
+
+// selfUpdate is a self-update statement, read at some pc: a discarded
+// `x += e`, `x -= e`, `x = x + e`, `x = x - e` or `x = e + x` whose
+// lvalue x is a plain int or long variable. The value read flows only
+// into the add or subtract whose result the opStoreConv at pc store
+// writes back, and the lvalue address sits depth slots below the operand
+// stack's top at the read. The loop detector lets a counter be read
+// there when that address is the counter's own cell (loop.go). Holes are
+// patched per variant, so a read is recorded whatever variable the
+// template binds: `x = y + 1` compiles like `x = x + 1`.
+type selfUpdate struct {
+	store, depth int32
 }
 
 // program is a compiled translation unit plus its side tables. The varRefs
@@ -260,6 +276,7 @@ type compiler struct {
 	pendingBreaks []int
 	labels        map[string]int
 	gotos         []gotoFix
+	selfUpdates   map[int32]selfUpdate
 }
 
 // compileProgram lowers prog. holes, when non-nil, are the skeleton's
@@ -342,6 +359,7 @@ func compileProgramOpt(prog *cc.Program, holes []*cc.Ident, noFuse bool) *progra
 		c.emit(opRetNone, 0, 0, fd.Pos)
 		c.finishFunc()
 		fn.code = c.code
+		fn.selfUpdates = c.selfUpdates
 		c.p.fns = append(c.p.fns, fn)
 	}
 	if mi, ok := c.fnIdxOf["main"]; ok {
@@ -451,6 +469,7 @@ func (c *compiler) beginFunc() {
 	c.conts = nil
 	c.labels = make(map[string]int)
 	c.gotos = nil
+	c.selfUpdates = nil
 }
 
 // step schedules one evaluation step (interp's stepNode) to be charged by
@@ -789,7 +808,7 @@ func (c *compiler) compileExpr(e cc.Expr) {
 	case *cc.BinaryExpr:
 		c.compileBinary(e)
 	case *cc.AssignExpr:
-		c.compileAssign(e)
+		c.compileAssign(e, false)
 	case *cc.UnaryExpr:
 		c.compileUnary(e)
 	case *cc.PostfixExpr:
@@ -851,7 +870,12 @@ func (c *compiler) compileDiscard(e cc.Expr) {
 		}
 		return
 	}
-	c.compileExpr(e)
+	if as, ok := e.(*cc.AssignExpr); ok {
+		c.step() // compileExpr's step for the assignment
+		c.compileAssign(as, true)
+	} else {
+		c.compileExpr(e)
+	}
 	c.emit(opPop, 0, 0, e.NodePos())
 }
 
@@ -900,7 +924,10 @@ func (c *compiler) compileBinary(e *cc.BinaryExpr) {
 	}
 }
 
-func (c *compiler) compileAssign(e *cc.AssignExpr) {
+// compileAssign compiles an assignment. When its value is discarded and
+// it is a self-update of a plain int or long variable, it records the
+// statement's reads in the function's self-update table.
+func (c *compiler) compileAssign(e *cc.AssignExpr, discard bool) {
 	lt := e.LHS.ExprType()
 	if st, ok := lt.(*cc.StructType); ok && e.Op == "=" {
 		c.compileLvalue(e.LHS)
@@ -909,15 +936,57 @@ func (c *compiler) compileAssign(e *cc.AssignExpr) {
 		return
 	}
 	c.compileLvalue(e.LHS)
+	track := discard && isIntVar(e.LHS)
 	if e.Op == "=" {
+		start := len(c.code)
 		c.compileExpr(e.RHS)
-		c.emit(opStoreConv, c.tidx(scalarTypeOf(lt)), 0, e.Pos)
+		store := int32(c.emit(opStoreConv, c.tidx(scalarTypeOf(lt)), 0, e.Pos))
+		bin, ok := e.RHS.(*cc.BinaryExpr)
+		if !track || !ok || (bin.Op != "+" && bin.Op != "-") {
+			return
+		}
+		// x = x + e, x = x - e: the left operand is the first instruction
+		// under the sum, at depth 0
+		read := int32(start)
+		for c.code[read].op == opStep {
+			read++
+		}
+		if _, ok := bin.X.(*cc.Ident); ok && c.code[read].op == opLoadVar {
+			c.selfUpdate(read, store, 0)
+		}
+		// x = e + x: the right operand sits just before the add, with e's
+		// value above the lvalue address
+		if _, ok := bin.Y.(*cc.Ident); ok && bin.Op == "+" && c.code[store-2].op == opLoadVar {
+			c.selfUpdate(store-2, store, 1)
+		}
 		return
 	}
-	c.emitLoadPtrAt(opLoadPtrKeep, lt, e.Pos)
+	read := int32(c.emitLoadPtrAt(opLoadPtrKeep, lt, e.Pos))
 	c.compileExpr(e.RHS)
 	c.emit(opBinop, binopCode[e.Op[:len(e.Op)-1]], 0, e.Pos)
-	c.emit(opStoreConv, c.tidx(scalarTypeOf(lt)), 0, e.Pos)
+	store := int32(c.emit(opStoreConv, c.tidx(scalarTypeOf(lt)), 0, e.Pos))
+	if track && (e.Op == "+=" || e.Op == "-=") {
+		c.selfUpdate(read, store, 0)
+	}
+}
+
+// selfUpdate records a self-update statement's read.
+func (c *compiler) selfUpdate(read, store, depth int32) {
+	if c.selfUpdates == nil {
+		c.selfUpdates = make(map[int32]selfUpdate)
+	}
+	c.selfUpdates[read] = selfUpdate{store: store, depth: depth}
+}
+
+// isIntVar reports whether an lvalue is a resolved variable of type int
+// or long.
+func isIntVar(e cc.Expr) bool {
+	id, ok := e.(*cc.Ident)
+	if !ok || id.Sym == nil {
+		return false
+	}
+	bt, ok := id.Sym.Type.(*cc.BasicType)
+	return ok && (bt.Kind == cc.Int || bt.Kind == cc.Long)
 }
 
 func (c *compiler) compileUnary(e *cc.UnaryExpr) {
@@ -1116,12 +1185,11 @@ func (c *compiler) emitLoadPtr(op uint8, t cc.Type, pos cc.Pos) {
 	c.emitLoadPtrAt(op, t, pos)
 }
 
-func (c *compiler) emitLoadPtrAt(op uint8, t cc.Type, pos cc.Pos) {
+func (c *compiler) emitLoadPtrAt(op uint8, t cc.Type, pos cc.Pos) int {
 	if t != nil && isAggregate(t) {
-		c.emit(op, c.tidx(elemOfType(t)), 1, pos)
-		return
+		return c.emit(op, c.tidx(elemOfType(t)), 1, pos)
 	}
-	c.emit(op, 0, 0, pos)
+	return c.emit(op, 0, 0, pos)
 }
 
 // elemOfType mirrors interp's elemOf.

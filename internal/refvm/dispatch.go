@@ -95,6 +95,16 @@ func handlerFor(p *program, fn *fnCode, i int) opFunc {
 		if i+1 < len(fn.code) && fn.code[i+1].op == opPop && fn.code[i+1].step == 0 {
 			return hIncDecDiscard
 		}
+	case opLoadPtrKeep:
+		if _, ok := fn.selfUpdates[int32(i)]; ok {
+			return hSelfUpdateLoad
+		}
+	case opStoreConv:
+		for _, su := range fn.selfUpdates {
+			if su.store == int32(i) {
+				return hSelfUpdateStore
+			}
+		}
 	}
 	return opHandlers[in.op]
 }
@@ -184,7 +194,7 @@ func hLoadVarScalar(vm *vmState, in *instr, pc int32) int32 {
 	vr := &vm.p.varRefs[in.a]
 	h := vm.varObj(vr)
 	cell := &vm.objs[h].cells[0]
-	if cell.init != cellSet && !vm.unmark(cell) {
+	if cell.init != cellSet && !vm.readMarked(h, 0, cell, pc) {
 		vm.ub(ubUninitRead, in.pos, "object %s cell %d", vm.p.names[vr.name], 0)
 	}
 	vm.push(cell.val)
@@ -212,6 +222,21 @@ func hLoadPtr(vm *vmState, in *instr, pc int32) int32 {
 func hLoadPtrKeep(vm *vmState, in *instr, pc int32) int32 {
 	p := *vm.top()
 	vm.push(vm.load(p, in.pos, in.a, in.b != 0))
+	return pc + 1
+}
+
+// hSelfUpdateLoad is the scalar opLoadPtrKeep that reads a self-update
+// statement's int or long lvalue (`x += e`, `x -= e`): its slow branch
+// asks the loop detector whether a marked counter may be read here
+// (loop.go).
+func hSelfUpdateLoad(vm *vmState, in *instr, pc int32) int32 {
+	p := *vm.top()
+	vm.checkAccess(p, in.pos)
+	cell := &vm.objs[p.Obj].cells[p.off()]
+	if cell.init != cellSet && !vm.readMarked(p.Obj, p.off(), cell, pc) {
+		vm.ub(ubUninitRead, in.pos, "object %s cell %d", vm.objName(p.Obj), p.off())
+	}
+	vm.push(cell.val)
 	return pc + 1
 }
 
@@ -312,8 +337,7 @@ func hIncDec(vm *vmState, in *instr, pc int32) int32 {
 // hIncDecDiscard is opIncDec followed by an opPop without a step: a ++
 // or -- whose value is discarded. While the loop detector verifies a
 // counter proof, it bumps a marked counter cell in place and keeps the
-// mark, the one access the proof allows (loop.go); otherwise it is
-// hIncDec without the push and pop.
+// mark (loop.go); otherwise it is hIncDec without the push and pop.
 func hIncDecDiscard(vm *vmState, in *instr, pc int32) int32 {
 	p := vm.pop()
 	op := bopAdd
@@ -325,7 +349,7 @@ func hIncDecDiscard(vm *vmState, in *instr, pc int32) int32 {
 		vm.checkAccess(p, in.pos)
 		if cell := &vm.objs[p.Obj].cells[p.off()]; cell.init == cellCounter {
 			cell.val = vm.addSub(op, cell.val, one, in.pos, typeOf(cell.val))
-			vm.loop.bumps++
+			vm.loop.margin++
 			return pc + 2
 		}
 	}
@@ -374,6 +398,17 @@ func hStoreConv(vm *vmState, in *instr, pc int32) int32 {
 	vm.store(p, cv, in.pos)
 	vm.push(cv)
 	return pc + 1
+}
+
+// hSelfUpdateStore is the opStoreConv of a self-update statement. While
+// the loop detector verifies a counter proof, a store that completes the
+// statement's pending counter read keeps the counter marked (loop.go);
+// otherwise it is hStoreConv.
+func hSelfUpdateStore(vm *vmState, in *instr, pc int32) int32 {
+	if vm.loop.phase == loopVerify && vm.storeMarked(in, pc) {
+		return pc + 1
+	}
+	return hStoreConv(vm, in, pc)
 }
 
 func hStructCopy(vm *vmState, in *instr, pc int32) int32 {
@@ -632,7 +667,7 @@ func hLoadVarBinop(vm *vmState, in *instr, pc int32) int32 {
 	vr := &vm.p.varRefs[in.a]
 	h := vm.varObj(vr)
 	cell := &vm.objs[h].cells[0]
-	if cell.init != cellSet && !vm.unmark(cell) {
+	if cell.init != cellSet && !vm.readMarked(h, 0, cell, pc) {
 		vm.ub(ubUninitRead, in.pos, "object %s cell %d", vm.p.names[vr.name], 0)
 	}
 	nxt := &vm.tfn.code[pc+1]

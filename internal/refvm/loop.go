@@ -8,11 +8,12 @@ import (
 // Loop detection. Skeletal enumeration fills a loop's condition and its
 // update with independent variables, as in `for (a = 0; b < 20; a++)`,
 // and such a variant runs until the step limit. The threaded loop proves,
-// partway through such a run, that the run can only end at the step
-// limit, then jumps the step count forward by whole loop periods and runs
-// the last period normally. The limit fires at the same instruction with
-// the same Steps, output and message as without the jump, so every Result
-// field is unchanged by construction.
+// partway through a run, that the next k loop periods repeat one period's
+// instructions, then jumps the step count (and any counters) forward by
+// those k periods and runs on normally. The run ends at the step limit,
+// a UB or a loop exit at the same instruction with the same Steps,
+// output and message as without the jump, so every Result field is
+// unchanged by construction.
 //
 // The detector runs in the threaded loop's slow path, which the loop
 // enters when steps pass vm.budget = min(MaxSteps, the detector's next
@@ -29,17 +30,34 @@ import (
 //     hold a set int or long of the same type at both points. The
 //     detector snapshots again, marks the C cells (cellCounter) and runs
 //     one more period. A read of a marked cell lands in the read's
-//     uninitialized-value slow branch, which clears every mark and
-//     abandons the proof; a store writes cellSet, which fails the proof;
-//     only hIncDecDiscard bumps a marked cell and keeps its mark. If the
-//     period ends at the same (function, pc) after exactly P steps with
-//     every other part of the state unchanged and every C cell still
-//     marked, the period's instructions did not depend on C, so each
-//     later period repeats them and adds the same delta to each C cell.
-//     The cells advance by k deltas and the steps by k periods, with k
-//     capped so no value in the skipped range can overflow (keeping one
-//     period's worth of bumps as margin): the overflow UB, if any, still
-//     happens at its true step.
+//     uninitialized-value slow branch (readMarked), and a store writes
+//     cellSet, which fails the proof. Three accesses keep the mark.
+//     hIncDecDiscard bumps a marked cell in place. A self-update
+//     statement (compile.go's selfUpdate: `x += e`, `x -= e`,
+//     `x = x + e`, `x = x - e`, `x = e + x`) reads the cell when the
+//     lvalue address on the stack is that same cell, and its store
+//     completes that read when the new value is an integer of the
+//     cell's type before and after conversion. An opLoadVar whose value
+//     the next instruction compares with a signed int or long constant
+//     records the value, the operator and the constant (cmpRead). Every
+//     other read clears every mark and abandons the proof.
+//
+//     If the period ends at the same (function, pc) after exactly P
+//     steps with every other part of the state unchanged and every C
+//     cell still marked, then by induction over the period each C cell
+//     holds its start value plus an offset that does not depend on C,
+//     no value the period stored outside C depended on C, and its
+//     control flow depended on C only through the recorded comparisons.
+//     So each later period repeats the same instructions and adds the
+//     same delta D to each C cell for as long as every recorded
+//     comparison keeps its result. The cells advance by k deltas and the
+//     steps by k periods, with k capped twice. No value in the skipped
+//     range can overflow, keeping the sum of |change| over the period's
+//     bumps and self-update stores as margin, so the overflow UB, if
+//     any, still happens at its true step. And each comparison gives the
+//     same result for value + j·D for every j = 1..k (cmpRoom), so a
+//     loop that exits on one is skipped to its last periods and exits at
+//     its true step.
 //
 // A failed window doubles the next probe point. The switch loop (exec)
 // runs no detector and stays an independent reference.
@@ -73,16 +91,37 @@ type loopState struct {
 	end     int64 // last step of the watch window; step the verified period ends at
 	snap    snapshot
 	// counters are the C cells of a counter proof with their values at
-	// the verification snapshot; bumps counts hIncDecDiscard's bumps of
-	// marked cells during the verified period.
+	// the verification snapshot. During the verified period margin sums
+	// |change| over the bumps and self-update stores of marked cells,
+	// pend is the self-update read awaiting its store, and cmps are the
+	// recorded comparisons.
 	counters []counterCell
-	bumps    int64
+	margin   uint64
+	pend     pendingRead
+	cmps     []cmpRead
 }
 
 type counterCell struct {
 	obj   int32
 	off   int32
 	start int64
+}
+
+// pendingRead is a self-update statement's read of a marked cell: the
+// store at pc store of fn, in the frame at depth frame, completes it.
+type pendingRead struct {
+	fn    *fnCode // nil: no read pending
+	store int32
+	frame int
+	old   int64 // the value read
+}
+
+// cmpRead is a read of counters[counter] whose value w the next
+// instruction compares with the constant c by operator op.
+type cmpRead struct {
+	counter int
+	op      int32
+	w, c    int64
 }
 
 // snapshot is the machine state the detector compares against.
@@ -186,7 +225,7 @@ func (vm *vmState) watch(pc int32) {
 		c.start = int64(cell.val.Bits)
 		cell.init = cellCounter
 	}
-	ls.bumps = 0
+	ls.margin, ls.pend, ls.cmps = 0, pendingRead{}, ls.cmps[:0]
 	ls.phase = loopVerify
 	ls.end = vm.steps + period
 	vm.budget = ls.end - 1
@@ -207,6 +246,11 @@ func (vm *vmState) verify(pc int32) {
 	for _, c := range ls.counters {
 		k = min(k, vm.counterRoom(c))
 	}
+	for _, r := range ls.cmps {
+		c := ls.counters[r.counter]
+		d := int64(vm.objs[c.obj].cells[c.off].val.Bits) - c.start
+		k = min(k, cmpRoom(r.op, r.w, r.c, d))
+	}
 	if k > 0 {
 		for _, c := range ls.counters {
 			cell := &vm.objs[c.obj].cells[c.off]
@@ -221,30 +265,141 @@ func (vm *vmState) verify(pc int32) {
 }
 
 // counterRoom returns how many periods a counter cell can advance with
-// every value it takes, plus a margin of one period's bumps either side,
-// inside its type's range.
+// every value it takes, plus the period's margin either side, inside its
+// type's range.
 func (vm *vmState) counterRoom(c counterCell) int64 {
 	cell := &vm.objs[c.obj].cells[c.off]
 	lo, hi := int64(math.MinInt32), int64(math.MaxInt32)
 	if cell.val.TIdx == int32(basicLong) {
 		lo, hi = math.MinInt64, math.MaxInt64
 	}
-	m := vm.loop.bumps
-	lo, hi = lo+m, hi-m
+	m := vm.loop.margin
 	v := int64(cell.val.Bits)
-	if v < lo || v > hi {
+	up, down := uint64(hi)-uint64(v), uint64(v)-uint64(lo)
+	if up < m || down < m {
 		return 0
 	}
+	// |delta| <= m < 2^63, so the difference is exact
 	var room, d uint64
 	switch delta := v - c.start; {
 	case delta > 0:
-		room, d = uint64(hi)-uint64(v), uint64(delta)
+		room, d = up-m, uint64(delta)
 	case delta < 0:
-		room, d = uint64(v)-uint64(lo), uint64(-delta)
+		room, d = down-m, uint64(-delta)
 	default:
 		return math.MaxInt64
 	}
 	return int64(min(room/d, math.MaxInt64))
+}
+
+// cmpRoom returns the largest k for which the comparison w op c keeps
+// its result at w + j·d for every j = 1..k. The value moves by |d| per
+// period towards c or away from it. An ordering flips at most once, when
+// the value reaches c or passes it; an equality holds at most at one
+// period, and one that holds now fails at the next.
+func cmpRoom(op int32, w, c, d int64) int64 {
+	if d == 0 || w > c && d > 0 || w < c && d < 0 {
+		return math.MaxInt64 // the value never reaches c
+	}
+	up := d > 0
+	// the orderings that hold or fail alike at c and past it
+	atOrPast := op == bopLt || op == bopGe
+	if !up {
+		atOrPast = op == bopGt || op == bopLe
+	}
+	if w == c {
+		if atOrPast {
+			return math.MaxInt64
+		}
+		return 0
+	}
+	dist, step := uint64(c)-uint64(w), uint64(d)
+	if !up {
+		dist, step = uint64(w)-uint64(c), -uint64(d)
+	}
+	n := dist / step // whole periods before the value reaches or passes c
+	switch {
+	case op == bopEq || op == bopNe:
+		if dist%step != 0 {
+			return math.MaxInt64 // the value steps over c
+		}
+		n-- // the value equals c at period n
+	case atOrPast:
+		if dist%step == 0 {
+			n-- // the value reaches c at period n
+		}
+	}
+	return int64(min(n, math.MaxInt64))
+}
+
+// readMarked is the slow branch of a scalar variable read at pc of the
+// running function, for the cell at offset off of object h. The read of
+// a marked counter cell passes, keeping the mark, when it is a
+// self-update statement's read of its own lvalue with no other read
+// pending, or when the next instruction compares the value with a signed
+// int or long constant. Any other read of a marked cell abandons the
+// counter proof. readMarked reports whether the cell now reads as set.
+func (vm *vmState) readMarked(h int32, off int64, cell *vCell, pc int32) bool {
+	if cell.init != cellCounter {
+		return false
+	}
+	ls, fn := &vm.loop, vm.tfn
+	if su, ok := fn.selfUpdates[pc]; ok && ls.pend.fn == nil {
+		if a := vm.stack[len(vm.stack)-1-int(su.depth)]; a.Kind == kPtr && a.Obj == h && a.off() == off {
+			ls.pend = pendingRead{fn: fn, store: su.store, frame: len(vm.frames), old: int64(cell.val.Bits)}
+			return true
+		}
+	}
+	if code := fn.code; code[pc].op == opLoadVar && code[pc+1].op == opConstBinop {
+		op, k := code[pc+2].a, vm.p.consts[code[pc+1].a]
+		if op >= bopEq && k.Kind == kInt && (k.TIdx == basicInt || k.TIdx == basicLong) {
+			for i, c := range ls.counters {
+				if c.obj == h && int64(c.off) == off {
+					ls.cmps = append(ls.cmps, cmpRead{counter: i, op: op, w: int64(cell.val.Bits), c: int64(k.Bits)})
+					return true
+				}
+			}
+		}
+	}
+	return vm.unmark(cell)
+}
+
+// storeMarked runs a self-update statement's store at pc while a counter
+// proof is verified. When the store completes the pending read, the cell
+// is still marked and the value is an integer of the cell's type that
+// converts to itself, it stores the value, keeps the mark, adds |change|
+// to the margin and reports true. Otherwise the caller stores normally,
+// which fails the proof if the cell is marked.
+func (vm *vmState) storeMarked(in *instr, pc int32) bool {
+	ls := &vm.loop
+	pr := ls.pend
+	if pr.fn != vm.tfn || pr.store != pc || pr.frame != len(vm.frames) {
+		return false
+	}
+	ls.pend = pendingRead{}
+	n := len(vm.stack)
+	v, p := vm.stack[n-1], vm.stack[n-2]
+	// an integer converts to the int or long lvalue type without effects
+	if v.Kind != kInt || vm.convertAt(v, in.a, in.pos) != v {
+		return false
+	}
+	vm.checkAccess(p, in.pos)
+	cell := &vm.objs[p.Obj].cells[p.off()]
+	if cell.init != cellCounter || v.TIdx != cell.val.TIdx {
+		return false
+	}
+	nv := int64(v.Bits)
+	change := uint64(nv) - uint64(pr.old)
+	if nv < pr.old {
+		change = uint64(pr.old) - uint64(nv)
+	}
+	if ls.margin += change; ls.margin < change {
+		ls.margin = math.MaxUint64 // saturate
+	}
+	cell.val = v
+	vm.stack[n-2] = v
+	vm.stack = vm.stack[:n-1]
+	return true
 }
 
 // unmark is the slow branch of a value read. A read of a counter cell

@@ -1,9 +1,11 @@
 package refvm
 
 import (
+	"math"
 	"testing"
 
 	"spe/internal/cc"
+	"spe/internal/corpus"
 	"spe/internal/interp"
 )
 
@@ -18,24 +20,24 @@ func TestLoopDetector(t *testing.T) {
 		"seed4-goto":                          "cycle",
 		"detached-counter":                    "counter",
 		"global-counter-in-call":              "counter",
-		"counter-breaks":                      "none",
+		"counter-breaks":                      "counter",
 		"counter-read-through-pointer":        "none",
 		"counter-read-by-struct-copy":         "none",
 		"counter-read-by-postfix-value":       "none",
 		"counter-printed":                     "none",
-		"counter-stored":                      "none",
+		"counter-stored":                      "counter",
 		"block-local-per-iteration":           "none",
 		"counter-overflows":                   "counter",
 		"counter-overflows-mid-period":        "counter",
 		"long-counter-underflows":             "counter",
-		"seed4-goto-self-update":              "none",
-		"seed13-invariant-sum":                "none",
-		"seed14-continue-self-update":         "none",
-		"self-update-until-bound":             "none",
-		"long-self-update-overflows":          "none",
-		"int-self-update-underflows":          "none",
-		"self-update-margin":                  "none",
-		"long-self-update-down-to-bound":      "none",
+		"seed4-goto-self-update":              "counter",
+		"seed13-invariant-sum":                "counter",
+		"seed14-continue-self-update":         "counter",
+		"self-update-until-bound":             "counter",
+		"long-self-update-overflows":          "counter",
+		"int-self-update-underflows":          "counter",
+		"self-update-margin":                  "counter",
+		"long-self-update-down-to-bound":      "counter",
 		"counter-equal-now":                   "none",
 		"self-update-reads-counter-twice":     "none",
 		"compound-update-reads-counter-twice": "none",
@@ -115,5 +117,79 @@ func TestStoreClearsCounterMark(t *testing.T) {
 	vm.store(mkPtr(h, 0, int32(basicInt)), vm.p.tt.mkInt(2, int32(basicInt)), 0)
 	if c := vm.objs[h].cells[0]; c.init != cellSet || iOf(c.val) != 2 {
 		t.Fatalf("after a store the cell is %+v, want set to 2", c)
+	}
+}
+
+// TestCmpRoom checks cmpRoom against stepping the comparison period by
+// period, on small values and at the ends of the int64 range.
+func TestCmpRoom(t *testing.T) {
+	const horizon = 40
+	check := func(op int32, w, c, d int64) {
+		t.Helper()
+		want := int64(math.MaxInt64)
+		now := intCompare(op, mkLong(w), mkLong(c))
+		for j := int64(1); j <= horizon; j++ {
+			if intCompare(op, mkLong(w+j*d), mkLong(c)) != now {
+				want = j - 1
+				break
+			}
+		}
+		got := cmpRoom(op, w, c, d)
+		if want == math.MaxInt64 && got >= horizon || got == want {
+			return
+		}
+		t.Errorf("cmpRoom(%s, w=%d, c=%d, d=%d) = %d, want %d", binopNames[op], w, c, d, got, want)
+	}
+	for op := bopEq; op <= bopGe; op++ {
+		for w := int64(-7); w <= 7; w++ {
+			for c := int64(-7); c <= 7; c++ {
+				for d := int64(-4); d <= 4; d++ {
+					check(op, w, c, d)
+				}
+			}
+		}
+		// values far apart at the ends of the range: no flip within the
+		// horizon, and no overflow in the distance
+		for _, v := range [][3]int64{
+			{math.MinInt64, math.MaxInt64, 1},
+			{math.MaxInt64 - 100, math.MinInt64, -1 << 62},
+			{math.MinInt64 + 3, math.MinInt64, -1},
+			{math.MaxInt64 - 6, math.MaxInt64, 3},
+		} {
+			w, c, d := v[0], v[1], v[2]
+			if got := cmpRoom(op, w, c, d); got < 0 {
+				t.Errorf("cmpRoom(%s, w=%d, c=%d, d=%d) = %d", binopNames[op], w, c, d, got)
+			}
+		}
+	}
+}
+
+func mkLong(v int64) Value { return Value{Kind: kInt, Bits: uint64(v), TIdx: basicLong} }
+
+// TestSeedWalkLimitsCutShort requires the loop detector to cut short
+// every step-limited run of the paper seeds' walk at the campaign's
+// 500 000-step budget (TestResultsGolden pins that there are 153).
+func TestSeedWalkLimitsCutShort(t *testing.T) {
+	ca := NewCache()
+	limited, cut := 0, 0
+	last := ca.Stats()
+	for fi, src := range corpus.Seeds() {
+		goldenWalk(t, ca, src, 100, Config{MaxSteps: 500_000}, func(rank int64, res *interp.Result) {
+			st := ca.Stats()
+			d := st.Sub(last)
+			last = st
+			if res.Limit == nil {
+				return
+			}
+			limited++
+			if d.CycleSkips+d.CounterSkips == 1 {
+				cut++
+			} else {
+				t.Errorf("seed file %d variant %d runs all %d steps", fi, rank, res.Steps)
+			}
+		})
+	}
+	if limited != 153 || cut != limited {
+		t.Errorf("%d of %d step-limited runs cut short, want all of 153", cut, limited)
 	}
 }

@@ -11,13 +11,17 @@ import (
 	"spe/internal/spe"
 )
 
-// FuzzRefvmDifferential picks a generated corpus (generator seed), a file
-// of it, a variant rank and a step budget between 5 000 and 100 000. The
-// variant runs through a Cache patched from the file's first variant, as
-// in a campaign shard, on the threaded loop (with the loop detector),
-// and fresh on the switch loop (without it): every Result field must
-// match. The threaded Result must also match the tree-walker's verdict
-// (diff). The seed entries use only the repository's generator seeds.
+// FuzzRefvmDifferential picks a file, a variant rank and a step budget
+// between 5 000 and 100 000. The file byte's high bit picks a paper seed
+// (corpus.Seeds, by the low seven bits); otherwise the file is one of a
+// generated corpus (generator seed). The variant runs through a Cache
+// patched from the file's first variant, as in a campaign shard, on the
+// threaded loop (with the loop detector), and fresh on the switch loop
+// (without it): every Result field must match. The threaded Result must
+// also match the tree-walker's verdict (diff). The seed entries use only
+// the repository's generator seeds, and paper-seed variants of files 4,
+// 13 and 14 that the counter proof cuts short through a self-update or a
+// comparison with a constant.
 func FuzzRefvmDifferential(f *testing.F) {
 	// files with more holes are skipped: building their enumeration
 	// space takes up to seconds
@@ -26,10 +30,20 @@ func FuzzRefvmDifferential(f *testing.F) {
 	f.Add(int64(20170619), uint8(2), uint64(41), uint32(0))
 	f.Add(int64(1234), uint8(3), uint64(977), uint32(55_000))
 	f.Add(int64(7), uint8(1), uint64(12), uint32(25_000))
+	f.Add(int64(0), uint8(0x80|4), uint64(3), uint32(95_000))
+	f.Add(int64(0), uint8(0x80|13), uint64(10), uint32(95_000))
+	f.Add(int64(0), uint8(0x80|14), uint64(44), uint32(95_000))
 	f.Fuzz(func(t *testing.T, seed int64, file uint8, rank uint64, steps uint32) {
 		maxSteps := 5_000 + int64(steps%95_001)
-		srcs := corpus.Generate(corpus.Config{N: int(file%4) + 1, Seed: seed})
-		prog := cc.MustAnalyze(srcs[len(srcs)-1])
+		var src string
+		if file&0x80 != 0 {
+			seeds := corpus.Seeds()
+			src = seeds[int(file&0x7f)%len(seeds)]
+		} else {
+			srcs := corpus.Generate(corpus.Config{N: int(file%4) + 1, Seed: seed})
+			src = srcs[len(srcs)-1]
+		}
+		prog := cc.MustAnalyze(src)
 		sk, err := skeleton.Build(prog)
 		if err != nil {
 			t.Fatal(err)

@@ -106,6 +106,14 @@ type execState struct {
 	loop     loopState
 }
 
+// maxPooledObjects bounds the slab an execState keeps across runs. A run
+// may allocate far more objects than a typical one (each call allocates
+// its memory-resident locals afresh), and keeping them all pooled would
+// pin that worst case in every campaign worker. Past the bound, reset
+// copies the kept prefix into a fresh slab, so the dropped objects and
+// their cells become garbage.
+const maxPooledObjects = 1 << 16
+
 func newExecState() *execState {
 	return &execState{
 		globals: make(map[*cc.Symbol]*interp.Object),
@@ -126,6 +134,11 @@ func (st *execState) reset() {
 	}
 	st.strObjs = st.strObjs[:0]
 	st.out = st.out[:0]
+	if len(st.objs) > maxPooledObjects {
+		objs := make([]*interp.Object, maxPooledObjects)
+		copy(objs, st.objs)
+		st.objs = objs
+	}
 	st.objUsed = 0
 	st.loop.reset()
 }

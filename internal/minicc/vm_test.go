@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"spe/internal/cc"
 	"spe/internal/interp"
 )
 
@@ -161,5 +162,28 @@ func TestVMExitCodeTruncation(t *testing.T) {
 	ex := runVM(t, `int main() { return 256 + 7; }`, 0)
 	if ex.Exit != 7 {
 		t.Errorf("exit = %d, want 7", ex.Exit)
+	}
+}
+
+// TestCacheReleasesRunawaySlab runs a program whose every call allocates
+// a slab object until the step budget, then a small program, through one
+// Cache: the pooled slab must shrink back within maxPooledObjects.
+func TestCacheReleasesRunawaySlab(t *testing.T) {
+	ca := NewCache()
+	c := &Compiler{}
+	runaway := cc.MustAnalyze(`
+int f() { int x = 1; int *p = &x; return *p; }
+int main() { int s = 0; for (;;) s += f(); return s; }`)
+	if _, err := c.RunCached(ca, runaway, nil, ExecConfig{MaxSteps: 2_000_000}, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ca.exec.objs); n <= maxPooledObjects {
+		t.Fatalf("the runaway run allocated %d slab objects, want more than %d", n, maxPooledObjects)
+	}
+	if _, err := c.RunCached(ca, cc.MustAnalyze(`int main() { return 0; }`), nil, ExecConfig{}, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := cap(ca.exec.objs); n > maxPooledObjects {
+		t.Errorf("after a small run the slab holds room for %d objects, want at most %d", n, maxPooledObjects)
 	}
 }

@@ -499,3 +499,24 @@ int main() {
 		t.Fatal("corrupt output")
 	}
 }
+
+// TestCacheReleasesRunawaySlab runs a loop that allocates a block-local
+// object on every iteration until the step limit, then a small program,
+// through one Cache: the pooled slab must shrink back within
+// maxPooledObjects.
+func TestCacheReleasesRunawaySlab(t *testing.T) {
+	ca := NewCache()
+	runaway := cc.MustAnalyze(`
+int a;
+int main() { for (;;) { int t = 1; a = t; } return 0; }`)
+	if res := ca.Run(runaway, nil, Config{MaxSteps: 1_000_000}); res.Limit == nil {
+		t.Fatalf("the runaway run ended without the step limit: %s", resultFields(res))
+	}
+	if n := len(ca.vm.objs); n <= maxPooledObjects {
+		t.Fatalf("the runaway run allocated %d slab objects, want more than %d", n, maxPooledObjects)
+	}
+	ca.Run(cc.MustAnalyze(`int main() { return 0; }`), nil, Config{})
+	if n := cap(ca.vm.objs); n > maxPooledObjects {
+		t.Errorf("after a small run the slab holds room for %d objects, want at most %d", n, maxPooledObjects)
+	}
+}

@@ -139,7 +139,9 @@ func newVMState() *vmState {
 // variant (say, a loop of int-to-pointer casts, each of which forges a
 // distinct dead object, as in the tree-walker) may allocate far more
 // objects than a typical run; keeping them all pooled would pin that
-// worst case in every campaign worker.
+// worst case in every campaign worker. Past the bound, reset copies the
+// kept prefix into a fresh slab, so the old backing array and the
+// dropped objects' cells become garbage.
 const maxPooledObjects = 1 << 16
 
 func resizeSlots(s []int32, n int32) []int32 {
@@ -157,7 +159,9 @@ func (vm *vmState) reset(p *program, cfg Config) {
 	vm.p = p
 	vm.cfg = cfg
 	if len(vm.objs) > maxPooledObjects {
-		vm.objs = vm.objs[:maxPooledObjects]
+		objs := make([]vObject, maxPooledObjects)
+		copy(objs, vm.objs)
+		vm.objs = objs
 	}
 	vm.objUsed = 0
 	vm.nextID = 0

@@ -3,9 +3,13 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -180,7 +184,15 @@ func TestFabricHTTPEquivalence(t *testing.T) {
 	coord := NewCoordinator(core, Options{LeaseTimeout: 30 * time.Second})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
+	if got := drainHTTP(t, coord, srv.URL); got != want {
+		t.Errorf("HTTP fabric report diverges:\n--- fabric ---\n%s--- in-process ---\n%s", got, want)
+	}
+}
 
+// drainHTTP runs two HTTP workers against the coordinator served at url
+// and returns the final formatted report.
+func drainHTTP(t *testing.T, coord *Coordinator, url string) string {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -189,7 +201,7 @@ func TestFabricHTTPEquivalence(t *testing.T) {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			w := &Worker{Transport: Dial(srv.URL), ID: "http-w", Parallelism: 2, RetryBackoff: time.Millisecond}
+			w := &Worker{Transport: Dial(url), ID: "http-w", Parallelism: 2, RetryBackoff: time.Millisecond}
 			errs[slot] = w.Run(ctx)
 		}(i)
 	}
@@ -203,8 +215,41 @@ func TestFabricHTTPEquivalence(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	if got := rep.Format(); got != want {
-		t.Errorf("HTTP fabric report diverges:\n--- fabric ---\n%s--- in-process ---\n%s", got, want)
+	return rep.Format()
+}
+
+// TestFabricOversizedBodies posts each endpoint a body one byte over its
+// bound: each gets 413 with a message naming the bound, and the
+// coordinator then serves an HTTP campaign whose report matches the
+// in-process one.
+func TestFabricOversizedBodies(t *testing.T) {
+	cfg := baseConfig()
+	want := inProcessBaseline(t, cfg)
+
+	core, err := campaign.NewRemoteEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(core, Options{LeaseTimeout: 30 * time.Second})
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	for _, ep := range []struct {
+		name  string
+		limit int64
+	}{{"join", smallBodyLimit}, {"lease", smallBodyLimit}, {"result", resultBodyLimit(core.Config())}} {
+		pad := strings.Repeat("x", int(ep.limit)-len(`{"worker":""}`)+1)
+		resp, err := http.Post(srv.URL+apiPrefix+ep.name, "application/json", strings.NewReader(`{"worker":"`+pad+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), strconv.FormatInt(ep.limit, 10)) {
+			t.Errorf("%s: a %d-byte body got %s: %s", ep.name, ep.limit+1, resp.Status, msg)
+		}
+	}
+	if got := drainHTTP(t, coord, srv.URL); got != want {
+		t.Errorf("HTTP fabric report after oversized bodies diverges:\n--- fabric ---\n%s--- in-process ---\n%s", got, want)
 	}
 }
 

@@ -4,33 +4,75 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"time"
+
+	"spe/internal/campaign"
+	"spe/internal/minicc"
 )
 
 // Handler serves the fabric protocol: POST /fabric/v1/{join,lease,result}
 // with JSON bodies. Mount it alongside the obs endpoints (cmd/spe serves
-// both from one listener) or on its own server.
+// both from one listener) or on its own server. Every body is bounded:
+// join and lease carry only IDs and a count, a result at most what the
+// plan can produce (resultBodyLimit); a larger body gets 413.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(apiPrefix+"join", handleJSON(c.Join))
-	mux.HandleFunc(apiPrefix+"lease", handleJSON(c.Lease))
-	mux.HandleFunc(apiPrefix+"result", handleJSON(c.Result))
+	mux.HandleFunc(apiPrefix+"join", handleJSON(c.Join, smallBodyLimit))
+	mux.HandleFunc(apiPrefix+"lease", handleJSON(c.Lease, smallBodyLimit))
+	mux.HandleFunc(apiPrefix+"result", handleJSON(c.Result, resultBodyLimit(c.core.Config())))
 	return mux
 }
 
-// handleJSON adapts one coordinator method to an HTTP endpoint.
-func handleJSON[Req, Resp any](fn func(context.Context, *Req) (*Resp, error)) http.HandlerFunc {
+// smallBodyLimit bounds the join and lease bodies.
+const smallBodyLimit = 64 << 10
+
+// Room a result body needs beyond its variant sources: a full set of
+// symptoms per variant, each with a signature quoting a run's output and
+// the expected one, and the shard's fields and JSON framing. JSON writes
+// a byte as at most six (\u00XX).
+const (
+	symptomBytes = 8 << 10
+	jsonEscape   = 6
+	envelope     = 64 << 10
+)
+
+// resultBodyLimit bounds a result body by what one shard of cfg's plan
+// can carry: cfg.ShardSize variants plus the file's original, each with
+// its source (at most twice the longest corpus file, for the printer's
+// layout and longer variable names) and a symptom per configuration,
+// plus a coverage snapshot naming every instrumentation site.
+func resultBodyLimit(cfg campaign.Config) int64 {
+	longest := 0
+	for _, src := range cfg.Corpus {
+		longest = max(longest, len(src))
+	}
+	sites := 0
+	for _, s := range minicc.Sites() {
+		sites += len(s) + len(`"",`)
+	}
+	variant := int64(2*longest + len(cfg.Versions)*len(cfg.OptLevels)*symptomBytes)
+	return jsonEscape*(int64(cfg.ShardSize+1)*variant+int64(sites)) + envelope
+}
+
+// handleJSON adapts one coordinator method to an HTTP endpoint whose
+// request bodies may be at most limit bytes.
+func handleJSON[Req, Resp any](fn func(context.Context, *Req) (*Resp, error), limit int64) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
 		var req Req
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil {
+			if errors.As(err, new(*http.MaxBytesError)) {
+				http.Error(w, fmt.Sprintf("request body exceeds the %d-byte bound of %s", limit, r.URL.Path), http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 			return
 		}

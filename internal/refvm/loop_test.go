@@ -46,6 +46,9 @@ func TestLoopDetector(t *testing.T) {
 		"self-update-widens":                  "none",
 		"counter-compared-unsigned":           "none",
 		"update-from-other-counter":           "none",
+		"self-update-constant-first":          "counter",
+		"update-adds-other-counter":           "none",
+		"update-from-other-counter-right":     "none",
 	}
 	if len(want) != len(loopPrograms) {
 		t.Fatalf("%d expectations for %d loop programs", len(want), len(loopPrograms))

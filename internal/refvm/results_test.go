@@ -273,6 +273,27 @@ int main() {
     while (b < 1) { y++; x = y + 1; b = 0; }
     return x;
 }`},
+	// x = e + x reads the counter as the right operand, with e's value
+	// above the lvalue address; the same shape must not accept another
+	// counter on either side
+	{"self-update-constant-first", `
+int main() {
+    int x = 0, b = 0;
+    while (b < 1) { x = 3 + x; b = 0; }
+    return b;
+}`},
+	{"update-adds-other-counter", `
+int main() {
+    int x = 0, y = 0, b = 0;
+    while (b < 1) { y++; x = y + x; b = 0; }
+    return b;
+}`},
+	{"update-from-other-counter-right", `
+int main() {
+    int x = 0, y = 0, b = 0;
+    while (b < 1) { y++; x = 1 + y; b = 0; }
+    return x;
+}`},
 }
 
 // goldenWalk runs the campaign's walk of one file through a shared Cache:

@@ -193,6 +193,21 @@ func TestFabricHTTPEquivalence(t *testing.T) {
 // and returns the final formatted report.
 func drainHTTP(t *testing.T, coord *Coordinator, url string) string {
 	t.Helper()
+	rep, waitErr, errs := runHTTP(coord, url)
+	if waitErr != nil {
+		t.Fatalf("coordinator: %v", waitErr)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	return rep.Format()
+}
+
+// runHTTP runs two HTTP workers against the coordinator served at url
+// and returns the coordinator's outcome and each worker's error.
+func runHTTP(coord *Coordinator, url string) (*campaign.Report, error, []error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -207,21 +222,15 @@ func drainHTTP(t *testing.T, coord *Coordinator, url string) string {
 	}
 	rep, waitErr := coord.Wait(ctx)
 	wg.Wait()
-	if waitErr != nil {
-		t.Fatalf("coordinator: %v", waitErr)
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-	return rep.Format()
+	return rep, waitErr, errs
 }
 
 // TestFabricOversizedBodies posts each endpoint a body one byte over its
 // bound: each gets 413 with a message naming the bound, and the
 // coordinator then serves an HTTP campaign whose report matches the
-// in-process one.
+// in-process one. The result bound is lowered to the join and lease
+// bound, which still admits this campaign's results, so the test never
+// builds a body of resultBodyLimit bytes.
 func TestFabricOversizedBodies(t *testing.T) {
 	cfg := baseConfig()
 	want := inProcessBaseline(t, cfg)
@@ -231,25 +240,81 @@ func TestFabricOversizedBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord := NewCoordinator(core, Options{LeaseTimeout: 30 * time.Second})
-	srv := httptest.NewServer(coord.Handler())
+	srv := httptest.NewServer(coord.handler(smallBodyLimit))
 	defer srv.Close()
-	for _, ep := range []struct {
-		name  string
-		limit int64
-	}{{"join", smallBodyLimit}, {"lease", smallBodyLimit}, {"result", resultBodyLimit(core.Config())}} {
-		pad := strings.Repeat("x", int(ep.limit)-len(`{"worker":""}`)+1)
-		resp, err := http.Post(srv.URL+apiPrefix+ep.name, "application/json", strings.NewReader(`{"worker":"`+pad+`"}`))
+	for _, ep := range []string{"join", "lease", "result"} {
+		pad := strings.Repeat("x", smallBodyLimit-len(`{"worker":""}`)+1)
+		resp, err := http.Post(srv.URL+apiPrefix+ep, "application/json", strings.NewReader(`{"worker":"`+pad+`"}`))
 		if err != nil {
 			t.Fatal(err)
 		}
 		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), strconv.FormatInt(ep.limit, 10)) {
-			t.Errorf("%s: a %d-byte body got %s: %s", ep.name, ep.limit+1, resp.Status, msg)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), strconv.Itoa(smallBodyLimit)) {
+			t.Errorf("%s: a %d-byte body got %s: %s", ep, smallBodyLimit+1, resp.Status, msg)
 		}
 	}
 	if got := drainHTTP(t, coord, srv.URL); got != want {
 		t.Errorf("HTTP fabric report after oversized bodies diverges:\n--- fabric ---\n%s--- in-process ---\n%s", got, want)
+	}
+}
+
+// wrongOutput prints 800 lines that minicc's seeded vm-uchar-wrap bug
+// gets wrong at -O0 (300 where the reference prints 44), so each of its
+// wrong-output signatures quotes a 51 KB and a 38 KB output.
+const wrongOutput = `int main() {
+    unsigned char c = 200;
+    int i;
+    c = c + 100;
+    for (i = 0; i < 800; i++)
+        printf("%d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n", c, c, c, c, c, c, c, c, c, c, c, c, c, c, c, c);
+    return 0;
+}`
+
+// TestFabricLargeResult sends a result carrying wrong-output signatures
+// of about 90 KB each over HTTP. Under the coordinator's bound the
+// campaign matches the in-process report. Under a 16 KiB bound, which the
+// other file's results fit, the campaign fails with an error naming the
+// task and its corpus file, and the workers exit on that failure instead
+// of exhausting their transport retries.
+func TestFabricLargeResult(t *testing.T) {
+	cfg := campaign.Config{
+		Corpus:             []string{corpus.Seeds()[0], wrongOutput},
+		Versions:           []string{"trunk"},
+		OptLevels:          []int{0},
+		MaxVariantsPerFile: 8,
+	}
+	want := inProcessBaseline(t, cfg)
+	if i := strings.Index(want, `id="70222" sig="wrong code (output`); i < 0 || strings.IndexByte(want[i:], '\n') < 8<<10 {
+		t.Fatalf("want a wrong-output finding with a signature over 8 KiB, got report:\n%.2000s", want)
+	}
+	serve := func(limit int64) (*Coordinator, *httptest.Server) {
+		core, err := campaign.NewRemoteEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord := NewCoordinator(core, Options{LeaseTimeout: 30 * time.Second})
+		return coord, httptest.NewServer(coord.handler(limit))
+	}
+
+	coord, srv := serve(resultBodyLimit)
+	got := drainHTTP(t, coord, srv.URL)
+	srv.Close()
+	if got != want {
+		t.Errorf("HTTP fabric report with large results diverges:\n--- fabric ---\n%s--- in-process ---\n%s", got, want)
+	}
+
+	coord, srv = serve(16 << 10)
+	defer srv.Close()
+	_, waitErr, errs := runHTTP(coord, srv.URL)
+	if waitErr == nil || !strings.Contains(waitErr.Error(), "(corpus file 1): fabric: result: "+errTooLarge.Error()) {
+		t.Fatalf("coordinator: got %v, want a failure naming the task, corpus file 1 and the bound", waitErr)
+	}
+	t.Logf("campaign failure: %v", waitErr)
+	for i, err := range errs {
+		if err == nil || !strings.HasPrefix(err.Error(), "fabric: campaign failed: ") {
+			t.Errorf("worker %d: got %v, want the campaign failure", i, err)
+		}
 	}
 }
 

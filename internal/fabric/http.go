@@ -10,54 +10,41 @@ import (
 	"net/http"
 	"strings"
 	"time"
-
-	"spe/internal/campaign"
-	"spe/internal/minicc"
 )
 
 // Handler serves the fabric protocol: POST /fabric/v1/{join,lease,result}
 // with JSON bodies. Mount it alongside the obs endpoints (cmd/spe serves
-// both from one listener) or on its own server. Every body is bounded:
-// join and lease carry only IDs and a count, a result at most what the
-// plan can produce (resultBodyLimit); a larger body gets 413.
+// both from one listener) or on its own server. Every body is bounded
+// (smallBodyLimit, resultBodyLimit); a larger body gets 413.
 func (c *Coordinator) Handler() http.Handler {
+	return c.handler(resultBodyLimit)
+}
+
+// handler serves the protocol with result bodies of at most resultLimit
+// bytes.
+func (c *Coordinator) handler(resultLimit int64) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(apiPrefix+"join", handleJSON(c.Join, smallBodyLimit))
 	mux.HandleFunc(apiPrefix+"lease", handleJSON(c.Lease, smallBodyLimit))
-	mux.HandleFunc(apiPrefix+"result", handleJSON(c.Result, resultBodyLimit(c.core.Config())))
+	mux.HandleFunc(apiPrefix+"result", handleJSON(c.Result, resultLimit))
 	return mux
 }
 
-// smallBodyLimit bounds the join and lease bodies.
-const smallBodyLimit = 64 << 10
-
-// Room a result body needs beyond its variant sources: a full set of
-// symptoms per variant, each with a signature quoting a run's output and
-// the expected one, and the shard's fields and JSON framing. JSON writes
-// a byte as at most six (\u00XX).
+// Request body bounds. Join and lease bodies carry only IDs and a count:
+// at most 52 bytes on the benchmark workloads. A result body carries a
+// shard's variant outcomes, and each wrong-output signature quotes the
+// compiled and the expected output in full. Measured largest result
+// bodies: 65 KB on the paper seeds across all four releases at the
+// default ShardSize, 10 KB on the region corpus at ShardSize 4, and
+// 28-30 KB on generated 60-file corpora; a program printing about 1 MB
+// that one seeded bug gets wrong at -O0 in all four releases made a
+// 14.9 MB body (eight 1.86 MB signatures). The result bound leaves over
+// four times that. A worker reports a refused result as a failure of
+// its task, naming the task and its corpus file (Worker.execute).
 const (
-	symptomBytes = 8 << 10
-	jsonEscape   = 6
-	envelope     = 64 << 10
+	smallBodyLimit  = 64 << 10
+	resultBodyLimit = 64 << 20
 )
-
-// resultBodyLimit bounds a result body by what one shard of cfg's plan
-// can carry: cfg.ShardSize variants plus the file's original, each with
-// its source (at most twice the longest corpus file, for the printer's
-// layout and longer variable names) and a symptom per configuration,
-// plus a coverage snapshot naming every instrumentation site.
-func resultBodyLimit(cfg campaign.Config) int64 {
-	longest := 0
-	for _, src := range cfg.Corpus {
-		longest = max(longest, len(src))
-	}
-	sites := 0
-	for _, s := range minicc.Sites() {
-		sites += len(s) + len(`"",`)
-	}
-	variant := int64(2*longest + len(cfg.Versions)*len(cfg.OptLevels)*symptomBytes)
-	return jsonEscape*(int64(cfg.ShardSize+1)*variant+int64(sites)) + envelope
-}
 
 // handleJSON adapts one coordinator method to an HTTP endpoint whose
 // request bodies may be at most limit bytes.
@@ -85,6 +72,10 @@ func handleJSON[Req, Resp any](fn func(context.Context, *Req) (*Resp, error), li
 		json.NewEncoder(w).Encode(resp)
 	}
 }
+
+// errTooLarge marks a 413 reply: the coordinator refused a body over its
+// bound.
+var errTooLarge = errors.New("body over the coordinator's bound")
 
 // httpTransport is the worker-side client for a coordinator's Handler.
 type httpTransport struct {
@@ -138,6 +129,9 @@ func httpCall[Req, Resp any](ctx context.Context, t *httpTransport, endpoint str
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 4<<10))
+		if hresp.StatusCode == http.StatusRequestEntityTooLarge {
+			return nil, fmt.Errorf("fabric: %s: %w: %d bytes: %s", endpoint, errTooLarge, len(body), strings.TrimSpace(string(msg)))
+		}
 		return nil, fmt.Errorf("fabric: %s: %s: %s", endpoint, hresp.Status, strings.TrimSpace(string(msg)))
 	}
 	var resp Resp

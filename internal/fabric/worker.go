@@ -226,7 +226,8 @@ loop:
 }
 
 // execute runs one leased shard and reports the outcome. A worker-side
-// shard error is reported to the coordinator (it charges a retry and
+// shard error, or a result the coordinator refuses as over its body
+// bound, is reported to the coordinator (it charges a retry and
 // re-leases); it returns errCampaignOver when the report confirms the
 // campaign completed, a terminal error on transport exhaustion or
 // campaign failure, and nil when the loop should simply continue.
@@ -246,6 +247,13 @@ func (w *Worker) execute(ctx context.Context, campaignID, id string, planner *ca
 	consecutive := 0
 	for {
 		resp, err := w.Transport.Result(ctx, req)
+		if errors.Is(err, errTooLarge) && req.Result != nil {
+			// a result is a pure function of its task: resending it
+			// cannot succeed, so report the task as failed instead
+			req = &ResultRequest{CampaignID: campaignID, WorkerID: id, LeaseID: g.LeaseID, Seq: g.Spec.Seq,
+				Err: fmt.Sprintf("result of task %d (corpus file %d): %v", g.Spec.Seq, g.Spec.SeedIdx, err)}
+			continue
+		}
 		if err != nil {
 			consecutive++
 			if consecutive >= maxErrs {

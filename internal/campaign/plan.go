@@ -89,9 +89,10 @@ type filePlan struct {
 	unclamped *big.Int
 	clamped   bool
 	tested    int64 // number of enumerated variants tested
-	// pool shares the file's enumeration across shard workers: each worker
-	// checks out a private spe.Space (ranker memo tables + AST template
-	// instances) and returns it when its shard completes.
+	// pool owns the file's ranking table and shares it across shard
+	// workers: each worker checks out a private spe.Space (unranking
+	// cursor + AST template instances) and returns it when its shard
+	// completes. Nil for a file over the threshold.
 	pool *spe.Pool
 	// backends pools the per-worker execution backends the same way.
 	backends *backendPool
@@ -162,22 +163,22 @@ func buildPlan(cfg Config, seedIdx int, src string) (*filePlan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: corpus[%d]: %w", seedIdx, err)
 	}
-	opts := spe.Options{Mode: spe.ModeCanonical, Granularity: cfg.Granularity}
+	pool, err := spe.NewPool(sk, spe.Options{Mode: spe.ModeCanonical, Granularity: cfg.Granularity})
+	if err != nil {
+		return nil, fmt.Errorf("campaign: corpus[%d]: %w", seedIdx, err)
+	}
 	plan := &filePlan{
 		seedIdx:   seedIdx,
 		src:       src,
 		sk:        sk,
-		canonical: spe.Count(sk, opts),
+		canonical: pool.Total(),
 		naive:     spe.Count(sk, spe.Options{Mode: spe.ModeNaive, Granularity: cfg.Granularity}),
 	}
 	if cfg.Threshold > 0 && plan.canonical.Cmp(big.NewInt(cfg.Threshold)) > 0 {
 		plan.skip = true
 		return plan, nil
 	}
-	plan.pool, err = spe.NewPool(sk, opts)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: corpus[%d]: %w", seedIdx, err)
-	}
+	plan.pool = pool
 	plan.pool.CheckedRebind = cfg.Paranoid
 	plan.backends = newBackendPool()
 	budget := cfg.MaxVariantsPerFile

@@ -226,7 +226,13 @@ func (c *Coordinator) Result(ctx context.Context, req *ResultRequest) (*ResultRe
 	}
 	if req.Err != "" {
 		c.opts.Metrics.incWorkerErrors()
-		if err := c.retryLocked(req.Seq, fmt.Errorf("worker %s: %s", req.WorkerID, req.Err)); err != nil {
+		cause := fmt.Errorf("worker %s: %s", req.WorkerID, req.Err)
+		if req.Reproducible {
+			err := fmt.Errorf("fabric: task %d failed, and every re-run would fail the same way: %w", req.Seq, cause)
+			c.failLocked(err)
+			return &ResultResponse{Failed: true, Err: err.Error()}, nil
+		}
+		if err := c.retryLocked(req.Seq, cause); err != nil {
 			return &ResultResponse{Failed: true, Err: err.Error()}, nil
 		}
 		return &ResultResponse{}, nil

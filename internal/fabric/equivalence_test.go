@@ -16,6 +16,7 @@ import (
 
 	"spe/internal/campaign"
 	"spe/internal/corpus"
+	"spe/internal/obs"
 )
 
 // These tests pin the fabric's determinism contract: a loopback
@@ -274,9 +275,10 @@ const wrongOutput = `int main() {
 // TestFabricLargeResult sends a result carrying wrong-output signatures
 // of about 90 KB each over HTTP. Under the coordinator's bound the
 // campaign matches the in-process report. Under a 16 KiB bound, which the
-// other file's results fit, the campaign fails with an error naming the
-// task and its corpus file, and the workers exit on that failure instead
-// of exhausting their transport retries.
+// other file's results fit, the campaign fails on the first report of the
+// refused result, with an error naming the task and its corpus file: one
+// worker error, and the task is never re-leased. The workers exit on that
+// failure instead of exhausting their transport retries.
 func TestFabricLargeResult(t *testing.T) {
 	cfg := campaign.Config{
 		Corpus:             []string{corpus.Seeds()[0], wrongOutput},
@@ -288,12 +290,14 @@ func TestFabricLargeResult(t *testing.T) {
 	if i := strings.Index(want, `id="70222" sig="wrong code (output`); i < 0 || strings.IndexByte(want[i:], '\n') < 8<<10 {
 		t.Fatalf("want a wrong-output finding with a signature over 8 KiB, got report:\n%.2000s", want)
 	}
+	var metrics *Metrics
 	serve := func(limit int64) (*Coordinator, *httptest.Server) {
 		core, err := campaign.NewRemoteEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		coord := NewCoordinator(core, Options{LeaseTimeout: 30 * time.Second})
+		metrics = NewMetrics(obs.NewRegistry())
+		coord := NewCoordinator(core, Options{LeaseTimeout: 30 * time.Second, Metrics: metrics})
 		return coord, httptest.NewServer(coord.handler(limit))
 	}
 
@@ -311,6 +315,12 @@ func TestFabricLargeResult(t *testing.T) {
 		t.Fatalf("coordinator: got %v, want a failure naming the task, corpus file 1 and the bound", waitErr)
 	}
 	t.Logf("campaign failure: %v", waitErr)
+	if n := metrics.workerErrors.Load(); n != 1 {
+		t.Errorf("spe_fabric_worker_errors_total = %d, want 1", n)
+	}
+	if n := metrics.releases.Load(); n != 0 {
+		t.Errorf("spe_fabric_re_leases_total = %d, want 0: the refused task was re-leased", n)
+	}
 	for i, err := range errs {
 		if err == nil || !strings.HasPrefix(err.Error(), "fabric: campaign failed: ") {
 			t.Errorf("worker %d: got %v, want the campaign failure", i, err)

@@ -29,6 +29,10 @@
 //   - Each expiry or worker-reported shard failure counts one retry for
 //     that seq. When a seq exceeds MaxRetries the campaign fails with an
 //     error (never a hang); in-flight progress is checkpointed.
+//   - A failure the worker marks Reproducible (its result is over the
+//     coordinator's body bound, and a result is a pure function of its
+//     task) fails the campaign on the first report, naming the task and
+//     its corpus file, without spending retries on identical re-runs.
 package fabric
 
 import (
@@ -110,6 +114,10 @@ type ResultRequest struct {
 	Result *campaign.ShardResult `json:"result,omitempty"`
 	// Err reports a worker-side shard failure (counts a retry for the seq).
 	Err string `json:"err,omitempty"`
+	// Reproducible marks an Err that every re-run of the task yields
+	// again, such as a result over the coordinator's body bound: the
+	// coordinator fails the campaign at once instead of re-leasing.
+	Reproducible bool `json:"reproducible,omitempty"`
 }
 
 // ResultResponse acknowledges a result.

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -198,6 +199,29 @@ func TestLeaseWorkerReportedFailureRetries(t *testing.T) {
 	}
 	if coord.Err() == nil {
 		t.Fatal("campaign error not recorded")
+	}
+}
+
+// TestLeaseReproducibleFailureFailsAtOnce reports a failure the worker
+// marks reproducible: the first report fails the campaign with an error
+// naming the task, though the retry budget is not spent.
+func TestLeaseReproducibleFailureFailsAtOnce(t *testing.T) {
+	coord, _ := newTestCoordinator(t, tinyConfig(), Options{LeaseTimeout: time.Minute, MaxRetries: 3})
+
+	l := mustLeaseTask(t, coord, "w")
+	ack, err := coord.Result(context.Background(), &ResultRequest{
+		CampaignID: coord.ID(), WorkerID: "w", LeaseID: l.LeaseID, Seq: l.Spec.Seq,
+		Err: "result over the bound", Reproducible: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ack.Failed {
+		t.Fatal("a reproducible failure did not fail the campaign")
+	}
+	want := fmt.Sprintf("task %d failed", l.Spec.Seq)
+	if err := coord.Err(); err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "result over the bound") {
+		t.Fatalf("campaign error %v, want one naming %q and the worker's report", err, want)
 	}
 }
 

@@ -226,11 +226,12 @@ loop:
 }
 
 // execute runs one leased shard and reports the outcome. A worker-side
-// shard error, or a result the coordinator refuses as over its body
-// bound, is reported to the coordinator (it charges a retry and
-// re-leases); it returns errCampaignOver when the report confirms the
-// campaign completed, a terminal error on transport exhaustion or
-// campaign failure, and nil when the loop should simply continue.
+// shard error is reported to the coordinator, which charges a retry and
+// re-leases; a result the coordinator refuses as over its body bound is
+// reported as a reproducible failure, which fails the campaign at once.
+// It returns errCampaignOver when the report confirms the campaign
+// completed, a terminal error on transport exhaustion or campaign
+// failure, and nil when the loop should simply continue.
 func (w *Worker) execute(ctx context.Context, campaignID, id string, planner *campaign.Planner, g LeaseGrant, backoff time.Duration, maxErrs int) error {
 	res, runErr := planner.RunSpec(ctx, g.Spec)
 	if runErr != nil && ctx.Err() != nil {
@@ -248,10 +249,11 @@ func (w *Worker) execute(ctx context.Context, campaignID, id string, planner *ca
 	for {
 		resp, err := w.Transport.Result(ctx, req)
 		if errors.Is(err, errTooLarge) && req.Result != nil {
-			// a result is a pure function of its task: resending it
-			// cannot succeed, so report the task as failed instead
+			// a result is a pure function of its task: neither resending
+			// it nor re-running the task can succeed, so report the task
+			// as failed, marked reproducible
 			req = &ResultRequest{CampaignID: campaignID, WorkerID: id, LeaseID: g.LeaseID, Seq: g.Spec.Seq,
-				Err: fmt.Sprintf("result of task %d (corpus file %d): %v", g.Spec.Seq, g.Spec.SeedIdx, err)}
+				Err: fmt.Sprintf("result of task %d (corpus file %d): %v", g.Spec.Seq, g.Spec.SeedIdx, err), Reproducible: true}
 			continue
 		}
 		if err != nil {

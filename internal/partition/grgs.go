@@ -163,54 +163,10 @@ func (p *Problem) NaiveCount() *big.Int {
 }
 
 // CanonicalCount returns the number of canonical fillings (= the number of
-// compact-alpha-equivalence classes) without enumerating them, via dynamic
-// programming over per-group used-variable counts.
+// compact-alpha-equivalence classes) without enumerating them: the total of
+// the problem's suffix-count table (see Ranker).
 func (p *Problem) CanonicalCount() *big.Int {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	type state string
-	encode := func(used []int) state {
-		b := make([]byte, len(used))
-		for i, u := range used {
-			b[i] = byte(u)
-		}
-		return state(b)
-	}
-	cur := map[state]*big.Int{encode(make([]int, len(p.GroupSizes))): big.NewInt(1)}
-	usedBuf := make([]int, len(p.GroupSizes))
-	for i := 0; i < p.NumHoles; i++ {
-		next := make(map[state]*big.Int, len(cur))
-		add := func(s state, ways *big.Int) {
-			if v, ok := next[s]; ok {
-				v.Add(v, ways)
-			} else {
-				next[s] = new(big.Int).Set(ways)
-			}
-		}
-		for s, ways := range cur {
-			for j := range usedBuf {
-				usedBuf[j] = int(s[j])
-			}
-			for _, g := range p.Allowed[i] {
-				if usedBuf[g] > 0 {
-					w := new(big.Int).Mul(ways, big.NewInt(int64(usedBuf[g])))
-					add(s, w)
-				}
-				if usedBuf[g] < p.GroupSizes[g] {
-					usedBuf[g]++
-					add(encode(usedBuf), ways)
-					usedBuf[g]--
-				}
-			}
-		}
-		cur = next
-	}
-	total := new(big.Int)
-	for _, v := range cur {
-		total.Add(total, v)
-	}
-	return total
+	return p.NewRanker().Count()
 }
 
 // OrbitCountBurnside returns the number of compact-alpha-equivalence classes

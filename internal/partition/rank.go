@@ -7,33 +7,41 @@ import (
 
 // Ranker indexes the canonical enumeration order of a Problem: it maps any
 // canonical filling to its 0-based position in EachCanonical's sequence
-// (Rank), maps a position back to its filling (Unrank), and enumerates the
-// sequence from an arbitrary offset (EachFrom). Together these let the
-// canonical variant space be cut into contiguous shards that independent
-// workers enumerate without coordination.
+// (Rank) and maps a position back to its filling (Unrank). Together these
+// let the canonical variant space be cut into contiguous shards that
+// independent workers unrank without coordination.
 //
 // The machinery is the counting side of the paper's Algorithm 1 turned into
 // a positional number system: the number of canonical completions of a
 // suffix of holes depends only on the per-group used-variable counts, so a
-// memoized suffix count plays the role the Stirling/product arithmetic
-// plays in CanonicalCount, and ranking is digit extraction against those
-// counts. All big.Int values returned by suffix counting are shared with
-// the memo table and must not be mutated by callers.
+// suffix-count table plays the role the Stirling/product arithmetic plays
+// in the paper's count, and ranking is digit extraction against those
+// counts.
+//
+// NewRanker builds the whole table; every method after that only reads it,
+// so one Ranker is safe for concurrent use and is meant to be shared (spe
+// shares one per function between the plan's count and every Space of a
+// file's pool). All big.Int values read from the table are shared and
+// must not be mutated.
 type Ranker struct {
 	p *Problem
-	// memo[i][usedKey] is the number of canonical completions of holes
-	// i..n-1 under the used-variable profile encoded by usedKey.
-	memo []map[string]*big.Int
+	// table[i][usedKey] is the number of canonical completions of holes
+	// i..n-1 under the used-variable profile encoded by usedKey, for every
+	// profile reachable from the empty one.
+	table []map[string]*big.Int
 }
 
-// NewRanker validates the problem and prepares an empty memo table. The
-// table fills lazily; a Ranker is cheap to create and is not safe for
-// concurrent use (give each goroutine its own).
+// NewRanker validates the problem and builds its suffix-count table.
 func (p *Problem) NewRanker() *Ranker {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Ranker{p: p, memo: make([]map[string]*big.Int, p.NumHoles+1)}
+	r := &Ranker{p: p, table: make([]map[string]*big.Int, p.NumHoles)}
+	for i := range r.table {
+		r.table[i] = make(map[string]*big.Int)
+	}
+	r.build(0, make([]int, len(p.GroupSizes)))
+	return r
 }
 
 var rankOne = big.NewInt(1)
@@ -46,17 +54,15 @@ func usedKey(used []int) string {
 	return string(b)
 }
 
-// suffix returns the number of canonical completions of holes i..n-1 given
-// the used profile. The result aliases the memo table; do not mutate.
-func (r *Ranker) suffix(i int, used []int) *big.Int {
+// build records the suffix count of (i, used) and of every profile
+// reachable from it. It is the table's only writer and runs inside
+// NewRanker.
+func (r *Ranker) build(i int, used []int) *big.Int {
 	if i == r.p.NumHoles {
 		return rankOne
 	}
-	if r.memo[i] == nil {
-		r.memo[i] = make(map[string]*big.Int)
-	}
 	k := usedKey(used)
-	if v, ok := r.memo[i][k]; ok {
+	if v, ok := r.table[i][k]; ok {
 		return v
 	}
 	total := new(big.Int)
@@ -64,22 +70,36 @@ func (r *Ranker) suffix(i int, used []int) *big.Int {
 	for _, g := range r.p.Allowed[i] {
 		if used[g] > 0 {
 			tmp.SetInt64(int64(used[g]))
-			tmp.Mul(&tmp, r.suffix(i+1, used))
+			tmp.Mul(&tmp, r.build(i+1, used))
 			total.Add(total, &tmp)
 		}
 		if used[g] < r.p.GroupSizes[g] {
 			used[g]++
-			total.Add(total, r.suffix(i+1, used))
+			total.Add(total, r.build(i+1, used))
 			used[g]--
 		}
 	}
-	r.memo[i][k] = total
+	r.table[i][k] = total
 	return total
 }
 
-// Count returns the size of the canonical enumeration, computed through the
-// suffix-count table (equal to CanonicalCount; the DP there runs forward,
-// this one backward).
+// suffix returns the number of canonical completions of holes i..n-1 given
+// the used profile. It only reads the table: every profile of a canonical
+// prefix is reachable, so a missing one is a bug and panics. The result
+// is shared; do not mutate.
+func (r *Ranker) suffix(i int, used []int) *big.Int {
+	if i == r.p.NumHoles {
+		return rankOne
+	}
+	v, ok := r.table[i][usedKey(used)]
+	if !ok {
+		panic(fmt.Sprintf("partition: profile %v at hole %d is not in the ranking table", used, i))
+	}
+	return v
+}
+
+// Count returns the size of the canonical enumeration: the table's suffix
+// count from the first hole under the empty profile.
 func (r *Ranker) Count() *big.Int {
 	return new(big.Int).Set(r.suffix(0, make([]int, len(r.p.GroupSizes))))
 }
@@ -189,102 +209,4 @@ func (r *Ranker) Unrank(rank *big.Int) ([]VarRef, error) {
 		}
 	}
 	return fill, nil
-}
-
-// EachFrom enumerates canonical fillings starting at 0-based position
-// offset, in the exact order and with the exact yield semantics of
-// EachCanonical (the fill slice is reused; copy to retain). It descends the
-// enumeration tree subtracting whole-subtree counts until the offset is
-// consumed, so reaching the first filling costs O(holes × choices) suffix
-// counts rather than offset enumeration steps. Returns the number of
-// fillings yielded.
-func (r *Ranker) EachFrom(offset *big.Int, yield func(fill []VarRef) bool) int {
-	p := r.p
-	skip := new(big.Int).Set(offset)
-	if skip.Sign() < 0 {
-		skip.SetInt64(0)
-	}
-	fill := make([]VarRef, p.NumHoles)
-	used := make([]int, len(p.GroupSizes))
-	count := 0
-	var tmp big.Int
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == p.NumHoles {
-			if skip.Sign() > 0 {
-				// cannot happen: skip is consumed against subtree counts
-				// before descending to a leaf
-				skip.Sub(skip, rankOne)
-				return true
-			}
-			count++
-			return yield(fill)
-		}
-		skipping := skip.Sign() > 0
-		for _, g := range p.Allowed[i] {
-			limit := used[g]
-			if skipping {
-				// drop whole old-member subtrees while the offset allows
-				sub := r.suffix(i+1, used)
-				if limit > 0 && sub.Sign() > 0 {
-					tmp.SetInt64(int64(limit))
-					tmp.Mul(&tmp, sub)
-					if skip.Cmp(&tmp) >= 0 {
-						skip.Sub(skip, &tmp)
-						limit = 0
-					} else {
-						q, m := new(big.Int).QuoRem(skip, sub, new(big.Int))
-						first := int(q.Int64())
-						skip.Set(m)
-						for idx := first; idx < used[g]; idx++ {
-							fill[i] = VarRef{Group: g, Index: idx}
-							if !rec(i + 1) {
-								return false
-							}
-						}
-						limit = 0
-						skipping = skip.Sign() > 0
-					}
-				}
-			}
-			for idx := 0; idx < limit; idx++ {
-				fill[i] = VarRef{Group: g, Index: idx}
-				if !rec(i + 1) {
-					return false
-				}
-			}
-			if used[g] < p.GroupSizes[g] {
-				used[g]++
-				drop := false
-				if skipping {
-					sub := r.suffix(i+1, used)
-					if skip.Cmp(sub) >= 0 {
-						skip.Sub(skip, sub)
-						drop = true
-					}
-				}
-				if !drop {
-					fill[i] = VarRef{Group: g, Index: used[g] - 1}
-					ok := rec(i + 1)
-					skipping = skip.Sign() > 0
-					used[g]--
-					if !ok {
-						return false
-					}
-				} else {
-					used[g]--
-				}
-			}
-		}
-		return true
-	}
-	rec(0)
-	return count
-}
-
-// Skip enumerates the canonical sequence with the first offset fillings
-// skipped — EachCanonical with a fast-forwarded start. Yield semantics
-// match EachCanonical. Returns the number of fillings yielded.
-func (p *Problem) Skip(offset *big.Int, yield func(fill []VarRef) bool) int {
-	return p.NewRanker().EachFrom(offset, yield)
 }

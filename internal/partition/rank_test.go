@@ -55,7 +55,7 @@ func rankProblems(t *testing.T) []*Problem {
 func TestRankUnrankRoundTrip(t *testing.T) {
 	for pi, p := range rankProblems(t) {
 		r := p.NewRanker()
-		if got, want := r.Count(), p.CanonicalCount(); got.Cmp(want) != 0 {
+		if got, want := r.Count(), p.OrbitCountBurnside(); got.Cmp(want) != 0 {
 			t.Errorf("problem %d: ranker count %s, want %s", pi, got, want)
 			continue
 		}
@@ -111,9 +111,37 @@ func TestRankRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-// TestShardConcatenation asserts that concatenating K contiguous shard
-// enumerations (each started with Skip at its offset) reproduces
-// EachCanonical's exact sequence and CanonicalCount total.
+// TestRankerTableReadOnly asserts that looking up a profile NewRanker did
+// not reach panics instead of filling the table: the table a shared
+// Ranker reads never changes after construction.
+func TestRankerTableReadOnly(t *testing.T) {
+	r := figure7().NewRanker()
+	size := 0
+	for _, m := range r.table {
+		size += len(m)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("lookup of an unreachable profile did not panic")
+			}
+		}()
+		// group 1 is first admissible at hole 3, so no prefix of holes
+		// 0..0 uses it
+		r.suffix(1, []int{1, 1})
+	}()
+	after := 0
+	for _, m := range r.table {
+		after += len(m)
+	}
+	if after != size {
+		t.Errorf("table grew from %d to %d entries", size, after)
+	}
+}
+
+// TestShardConcatenation asserts that concatenating K contiguous shards,
+// each unranked position by position the way campaign shards are,
+// reproduces EachCanonical's exact sequence and CanonicalCount total.
 func TestShardConcatenation(t *testing.T) {
 	for pi, p := range rankProblems(t) {
 		var want []string
@@ -125,22 +153,18 @@ func TestShardConcatenation(t *testing.T) {
 		if total.Cmp(big.NewInt(int64(len(want)))) != 0 {
 			t.Fatalf("problem %d: canonical count %s but enumerated %d", pi, total, len(want))
 		}
+		r := p.NewRanker()
 		for _, shards := range []int{1, 2, 3, 7} {
 			var got []string
 			for k := 0; k < shards; k++ {
 				lo := int64(k) * int64(len(want)) / int64(shards)
 				hi := int64(k+1) * int64(len(want)) / int64(shards)
-				n := hi - lo
-				if n == 0 {
-					continue
-				}
-				yielded := p.Skip(big.NewInt(lo), func(fill []VarRef) bool {
+				for pos := lo; pos < hi; pos++ {
+					fill, err := r.Unrank(big.NewInt(pos))
+					if err != nil {
+						t.Fatalf("problem %d: shard %d/%d: unrank(%d): %v", pi, k, shards, pos, err)
+					}
 					got = append(got, FillKey(fill))
-					n--
-					return n > 0
-				})
-				if int64(yielded) != hi-lo {
-					t.Fatalf("problem %d: shard %d/%d yielded %d, want %d", pi, k, shards, yielded, hi-lo)
 				}
 			}
 			if len(got) != len(want) {
@@ -152,9 +176,9 @@ func TestShardConcatenation(t *testing.T) {
 				}
 			}
 		}
-		// skipping everything yields nothing
-		if n := p.Skip(total, func([]VarRef) bool { return true }); n != 0 {
-			t.Errorf("problem %d: skip(count) yielded %d fills", pi, n)
+		// a shard starting at the total has nothing to unrank
+		if _, err := r.Unrank(total); err == nil {
+			t.Errorf("problem %d: unrank(count) did not error", pi)
 		}
 	}
 }

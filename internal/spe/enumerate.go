@@ -61,15 +61,9 @@ type Options struct {
 // the other modes quotient declaration arrangements away entirely, so only
 // the naive count carries the skeleton's DeclHoleFactor.
 func Count(sk *skeleton.Skeleton, opts Options) *big.Int {
-	var total *big.Int
-	switch opts.Granularity {
-	case Inter:
-		total = countProblem(sk.Problem(), opts.Mode, nil)
-	default:
-		total = big.NewInt(1)
-		for _, fp := range sk.FuncProblems() {
-			total.Mul(total, countProblem(fp.Problem, opts.Mode, fp))
-		}
+	total := big.NewInt(1)
+	for _, fp := range units(sk, opts.Granularity) {
+		total.Mul(total, countProblem(fp.Problem, opts.Mode))
 	}
 	if opts.Mode == ModeNaive {
 		total.Mul(total, sk.DeclHoleFactor())
@@ -77,7 +71,7 @@ func Count(sk *skeleton.Skeleton, opts Options) *big.Int {
 	return total
 }
 
-func countProblem(p *partition.Problem, mode Mode, fp *skeleton.FuncProblem) *big.Int {
+func countProblem(p *partition.Problem, mode Mode) *big.Int {
 	switch mode {
 	case ModeNaive:
 		return p.NaiveCount()
@@ -85,6 +79,31 @@ func countProblem(p *partition.Problem, mode Mode, fp *skeleton.FuncProblem) *bi
 		return TwoLevelFromProblem(p).PaperCount()
 	default:
 		return p.CanonicalCount()
+	}
+}
+
+// units splits the skeleton into the independent problems whose
+// enumerations combine by Cartesian product, first one outermost: one per
+// function under Intra, and under Inter a single problem over the whole
+// skeleton, whose hole and group maps are the identity.
+func units(sk *skeleton.Skeleton, gran Granularity) []*skeleton.FuncProblem {
+	if gran != Inter {
+		return sk.FuncProblems()
+	}
+	whole := &skeleton.FuncProblem{Problem: sk.Problem()}
+	for i := 0; i < whole.Problem.NumHoles; i++ {
+		whole.HoleIdx = append(whole.HoleIdx, i)
+	}
+	for g := range whole.Problem.GroupSizes {
+		whole.GroupIdx = append(whole.GroupIdx, g)
+	}
+	return []*skeleton.FuncProblem{whole}
+}
+
+// scatter writes a unit's filling into the whole-skeleton filling.
+func scatter(whole []partition.VarRef, fp *skeleton.FuncProblem, fill []partition.VarRef) {
+	for j, vr := range fill {
+		whole[fp.HoleIdx[j]] = partition.VarRef{Group: fp.GroupIdx[vr.Group], Index: vr.Index}
 	}
 }
 
@@ -134,45 +153,29 @@ func EnumerateFills(sk *skeleton.Skeleton, opts Options, yield func(idx int, fil
 		n++
 		return ok
 	}
-	switch opts.Granularity {
-	case Inter:
-		p := sk.Problem()
+	us := units(sk, opts.Granularity)
+	whole := sk.OriginalFill()
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == len(us) {
+			return emit(whole)
+		}
+		each := us[i].Problem.EachCanonical
 		if opts.Mode == ModeNaive {
-			p.EachNaive(emit)
-		} else {
-			p.EachCanonical(emit)
+			each = us[i].Problem.EachNaive
 		}
-	default:
-		fps := sk.FuncProblems()
-		whole := sk.OriginalFill()
-		var rec func(i int) bool
-		rec = func(i int) bool {
-			if i == len(fps) {
-				return emit(whole)
+		ok := true
+		each(func(fill []partition.VarRef) bool {
+			scatter(whole, us[i], fill)
+			if !rec(i + 1) {
+				ok = false
+				return false
 			}
-			fp := fps[i]
-			each := fp.Problem.EachCanonical
-			if opts.Mode == ModeNaive {
-				each = fp.Problem.EachNaive
-			}
-			ok := true
-			each(func(fill []partition.VarRef) bool {
-				for j, vr := range fill {
-					whole[fp.HoleIdx[j]] = partition.VarRef{
-						Group: fp.GroupIdx[vr.Group],
-						Index: vr.Index,
-					}
-				}
-				if !rec(i + 1) {
-					ok = false
-					return false
-				}
-				return true
-			})
-			return ok
-		}
-		rec(0)
+			return true
+		})
+		return ok
 	}
+	rec(0)
 	return n, nil
 }
 

@@ -5,11 +5,12 @@
 // evaluation harness.
 //
 // Concurrency and ownership: a Skeleton and its analyzed program are
-// immutable after Build and may be shared freely. Everything mutable hangs
-// off a Space — ranker memo tables, the delta-unranking cache, the pooled
+// immutable after Build and may be shared freely, and so is a skeleton's
+// ranking table, which is built once and only read after. Everything
+// mutable hangs off a Space — the delta-unranking cache and the pooled
 // AST instances — and a Space is strictly single-goroutine; concurrent
-// callers go through a Pool, which hands each goroutine a private Space
-// over the shared skeleton. Programs and instances returned by
+// callers go through a Pool, which owns the table and hands each
+// goroutine a private Space over it. Programs and instances returned by
 // ProgramAt/AcquireAt are exclusively owned until their release function
 // is called; workers may read them, hand them to the backends, and patch
 // them only through Instantiate — never retain them past release.

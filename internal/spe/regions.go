@@ -32,12 +32,12 @@ var bigOne = big.NewInt(1)
 // most significant). Useful for diagnosing how RegionCuts chose its
 // axis; returns nil under inter-procedural granularity.
 func (s *Space) FuncCounts() []*big.Int {
-	if s.ranker != nil {
+	if s.t.inter {
 		return nil
 	}
-	out := make([]*big.Int, len(s.counts))
-	for i, c := range s.counts {
-		out[i] = new(big.Int).Set(c)
+	out := make([]*big.Int, len(s.t.units))
+	for i, u := range s.t.units {
+		out[i] = new(big.Int).Set(u.count)
 	}
 	return out
 }
@@ -51,7 +51,7 @@ func (s *Space) FuncCounts() []*big.Int {
 // derives identical cuts.
 func (s *Space) RegionCuts(stride, tested int64, maxRegions int) []int64 {
 	single := []int64{0}
-	if tested <= 1 || maxRegions <= 1 || stride <= 0 || s.ranker != nil || len(s.fps) == 0 {
+	if tested <= 1 || maxRegions <= 1 || stride <= 0 || s.t.inter || len(s.t.units) == 0 {
 		return single
 	}
 	maxIdx := (tested - 1) * stride
@@ -61,15 +61,16 @@ func (s *Space) RegionCuts(stride, tested int64, maxRegions int) []int64 {
 	axis := -1
 	var axisSuffix int64 = 1
 	suffix := big.NewInt(1)
-	for i := len(s.fps) - 1; i >= 0; i-- {
+	for i := len(s.t.units) - 1; i >= 0; i-- {
+		c := s.t.units[i].count
 		if suffix.Cmp(maxBig) > 0 {
 			break
 		}
-		if s.counts[i].Cmp(bigOne) > 0 {
+		if c.Cmp(bigOne) > 0 {
 			axis = i
 			axisSuffix = suffix.Int64()
 		}
-		suffix.Mul(suffix, s.counts[i])
+		suffix.Mul(suffix, c)
 	}
 	if axis < 0 {
 		return single

@@ -11,40 +11,70 @@ import (
 	"spe/internal/skeleton"
 )
 
+// table is the read-only ranking data of one skeleton at one granularity.
+// Its units are the digits of the canonical sequence's mixed-radix index,
+// most significant first: one per function under Intra, and one spanning
+// the whole skeleton under Inter. Each unit keeps its Ranker and canonical
+// count. A table is built once and never written after, so a Pool and
+// every Space it hands out share one.
+type table struct {
+	sk    *skeleton.Skeleton
+	inter bool
+	units []unit
+	total *big.Int
+}
+
+// unit is one digit of a table: a problem, its Ranker and its count.
+type unit struct {
+	*skeleton.FuncProblem
+	ranker *partition.Ranker
+	count  *big.Int
+}
+
+// newTable builds the ranking table. Only ModeCanonical is supported: the
+// naive sequence needs no ranker (it is a plain mixed-radix product) and
+// ModePaper is count-only.
+func newTable(sk *skeleton.Skeleton, opts Options) (*table, error) {
+	if opts.Mode != ModeCanonical {
+		return nil, fmt.Errorf("spe: Space requires ModeCanonical, got %v", opts.Mode)
+	}
+	t := &table{sk: sk, inter: opts.Granularity == Inter, total: big.NewInt(1)}
+	for _, fp := range units(sk, opts.Granularity) {
+		r := fp.Problem.NewRanker()
+		c := r.Count()
+		t.units = append(t.units, unit{FuncProblem: fp, ranker: r, count: c})
+		t.total.Mul(t.total, c)
+	}
+	return t, nil
+}
+
 // Space is a random-access view of a skeleton's canonical enumeration
 // sequence: Total() is its size and FillAt(i) returns the i-th filling of
-// EnumerateFills' order without enumerating the i-1 before it. With intra-
-// procedural granularity the sequence is the Cartesian product of the
-// per-function canonical sequences, so a global index is a mixed-radix
-// numeral whose digits are per-function ranks (the first function is the
-// most significant digit, matching EnumerateFills' recursion order).
+// EnumerateFills' order without enumerating the i-1 before it. The
+// sequence is the Cartesian product of the per-unit canonical sequences
+// (one unit per function under Intra granularity, one for the whole
+// skeleton under Inter), so a global index is a mixed-radix numeral whose
+// digits are per-unit ranks (the first unit is the most significant digit,
+// matching EnumerateFills' recursion order).
 //
 // Beside the textual RenderAt, a Space serves typed programs: ProgramAt
 // patches a pooled AST-resident skeleton.Instance to the indexed filling
 // and hands back the analyzed *cc.Program directly, skipping the
 // render→re-lex→re-parse→re-sema cycle entirely. FillDeltaAt exposes the
-// underlying incremental unranking (per-function rank digits are cached, so
-// stride-neighbor indices only unrank the functions whose digit moved).
+// underlying incremental unranking (per-unit rank digits are cached, so
+// stride-neighbor indices only unrank the units whose digit moved).
 //
-// Concurrency contract: a Space owns mutable state — ranker memo tables,
-// the delta-unranking cache, and its instance free list — and is strictly
-// single-goroutine. Concurrent callers go through a Pool, which hands each
-// goroutine a private Space over the shared (immutable) skeleton; sharing
-// one Space across goroutines without a Pool is a data race, enforced by
-// the race-detector tests over the campaign hot path.
+// Concurrency contract: a Space is a cursor over a shared, read-only
+// ranking table. The cursor — the delta-unranking cache and the instance
+// free list — is mutable and strictly single-goroutine. Concurrent callers
+// go through a Pool, which owns the table and hands each goroutine a
+// private cursor over it; sharing one Space across goroutines without a
+// Pool is a data race, enforced by the race-detector tests over the
+// campaign hot path.
 type Space struct {
-	sk   *skeleton.Skeleton
-	opts Options
-	// intra granularity
-	fps     []*skeleton.FuncProblem
-	rankers []*partition.Ranker
-	counts  []*big.Int
-	// inter granularity
-	ranker *partition.Ranker
+	t *table
 
-	total *big.Int
-
-	// delta-unranking cache: the per-function rank digits and whole-skeleton
+	// delta-unranking cache: the per-unit rank digits and whole-skeleton
 	// filling of the last FillDeltaAt call. prevBuf and changed are reused
 	// scratch space so the per-variant hot path stays allocation-free.
 	lastDigits []*big.Int
@@ -62,144 +92,100 @@ type Space struct {
 	CheckedRebind bool
 }
 
-// NewSpace builds the random-access view. Only ModeCanonical is supported:
-// the naive sequence needs no ranker (it is a plain mixed-radix product)
-// and ModePaper is count-only.
+// NewSpace builds a ranking table and a Space over it. Callers that want
+// several Spaces over one skeleton share a table through a Pool instead.
 func NewSpace(sk *skeleton.Skeleton, opts Options) (*Space, error) {
-	if opts.Mode != ModeCanonical {
-		return nil, fmt.Errorf("spe: Space requires ModeCanonical, got %v", opts.Mode)
+	t, err := newTable(sk, opts)
+	if err != nil {
+		return nil, err
 	}
-	s := &Space{sk: sk, opts: opts}
-	switch opts.Granularity {
-	case Inter:
-		s.ranker = sk.Problem().NewRanker()
-		s.total = s.ranker.Count()
-	default:
-		s.fps = sk.FuncProblems()
-		s.total = big.NewInt(1)
-		for _, fp := range s.fps {
-			r := fp.Problem.NewRanker()
-			s.rankers = append(s.rankers, r)
-			c := r.Count()
-			s.counts = append(s.counts, c)
-			s.total.Mul(s.total, c)
-		}
-	}
-	return s, nil
+	return &Space{t: t}, nil
 }
 
 // Total returns the number of fillings in the sequence (the skeleton's
 // canonical count).
-func (s *Space) Total() *big.Int { return new(big.Int).Set(s.total) }
+func (s *Space) Total() *big.Int { return new(big.Int).Set(s.t.total) }
+
+// checkIndex reports an error for an index outside [0, Total).
+func (s *Space) checkIndex(idx *big.Int) error {
+	if idx.Sign() < 0 || idx.Cmp(s.t.total) >= 0 {
+		return fmt.Errorf("spe: fill index %s out of range [0, %s)", idx, s.t.total)
+	}
+	return nil
+}
 
 // FillAt returns the idx-th whole-skeleton filling of the canonical
 // enumeration order. The returned slice is freshly allocated.
 func (s *Space) FillAt(idx *big.Int) ([]partition.VarRef, error) {
-	if idx.Sign() < 0 || idx.Cmp(s.total) >= 0 {
-		return nil, fmt.Errorf("spe: fill index %s out of range [0, %s)", idx, s.total)
+	if err := s.checkIndex(idx); err != nil {
+		return nil, err
 	}
-	if s.ranker != nil {
-		return s.ranker.Unrank(idx)
-	}
-	// digit extraction, least significant (= last, fastest-varying
-	// function) first
-	digits := make([]*big.Int, len(s.fps))
-	rem := new(big.Int).Set(idx)
-	for i := len(s.fps) - 1; i >= 0; i-- {
-		q, m := new(big.Int).QuoRem(rem, s.counts[i], new(big.Int))
-		digits[i] = m
-		rem = q
-	}
-	whole := s.sk.OriginalFill()
-	for i, fp := range s.fps {
-		fill, err := s.rankers[i].Unrank(digits[i])
-		if err != nil {
+	whole := s.t.sk.OriginalFill()
+	for i, d := range s.digitsOf(idx) {
+		if err := s.t.unrank(whole, i, d); err != nil {
 			return nil, err
-		}
-		for j, vr := range fill {
-			whole[fp.HoleIdx[j]] = partition.VarRef{
-				Group: fp.GroupIdx[vr.Group],
-				Index: vr.Index,
-			}
 		}
 	}
 	return whole, nil
 }
 
 // FillDeltaAt is FillAt with incremental unranking: the Space caches the
-// per-function rank digits of its previous call and re-unranks only the
-// functions whose digit changed, which is what makes walking stride
-// neighbors within a shard cheap (the low-order functions vary, the rest
-// stand still). It returns the filling plus the sorted hole indices whose
-// variable differs from the previous call's filling (all holes on the first
-// call). Both slices are owned by the Space and valid until the next
-// FillDeltaAt call.
+// per-unit rank digits of its previous call and re-unranks only the units
+// whose digit changed, which is what makes walking stride neighbors within
+// a shard cheap (the low-order functions vary, the rest stand still). It
+// returns the filling plus the sorted hole indices whose variable differs
+// from the previous call's filling (all holes on the first call). Both
+// slices are owned by the Space and valid until the next FillDeltaAt call.
 func (s *Space) FillDeltaAt(idx *big.Int) ([]partition.VarRef, []int, error) {
-	if idx.Sign() < 0 || idx.Cmp(s.total) >= 0 {
-		return nil, nil, fmt.Errorf("spe: fill index %s out of range [0, %s)", idx, s.total)
+	if err := s.checkIndex(idx); err != nil {
+		return nil, nil, err
 	}
-	if s.lastFill == nil {
-		// first call: unrank everything, every hole counts as changed
-		fill, err := s.FillAt(idx)
-		if err != nil {
+	first := s.lastFill == nil
+	if first {
+		s.lastFill = s.t.sk.OriginalFill()
+	}
+	s.prevBuf = append(s.prevBuf[:0], s.lastFill...)
+	digits := s.digitsOf(idx)
+	for i, d := range digits {
+		if !first && d.Cmp(s.lastDigits[i]) == 0 {
+			continue // this unit's rank did not move: keep its holes
+		}
+		if err := s.t.unrank(s.lastFill, i, d); err != nil {
+			s.lastFill = nil
 			return nil, nil, err
 		}
-		s.lastFill = fill
-		s.changed = make([]int, len(fill))
-		for i := range s.changed {
-			s.changed[i] = i
-		}
-		if s.ranker == nil {
-			s.lastDigits = s.digitsOf(idx)
-		}
-		return s.lastFill, s.changed, nil
 	}
-	prev := append(s.prevBuf[:0], s.lastFill...)
-	s.prevBuf = prev
-	if s.ranker != nil {
-		fill, err := s.ranker.Unrank(idx)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.lastFill = fill
-	} else {
-		digits := s.digitsOf(idx)
-		for i, fp := range s.fps {
-			if digits[i].Cmp(s.lastDigits[i]) == 0 {
-				continue // this function's rank did not move: keep its holes
-			}
-			fill, err := s.rankers[i].Unrank(digits[i])
-			if err != nil {
-				return nil, nil, err
-			}
-			for j, vr := range fill {
-				s.lastFill[fp.HoleIdx[j]] = partition.VarRef{
-					Group: fp.GroupIdx[vr.Group],
-					Index: vr.Index,
-				}
-			}
-		}
-		s.lastDigits = digits
-	}
+	s.lastDigits = digits
 	s.changed = s.changed[:0]
 	for i, vr := range s.lastFill {
-		if vr != prev[i] {
+		if first || vr != s.prevBuf[i] {
 			s.changed = append(s.changed, i)
 		}
 	}
 	return s.lastFill, s.changed, nil
 }
 
-// digitsOf extracts idx's per-function mixed-radix rank digits.
+// digitsOf extracts idx's per-unit mixed-radix rank digits.
 func (s *Space) digitsOf(idx *big.Int) []*big.Int {
-	digits := make([]*big.Int, len(s.fps))
+	digits := make([]*big.Int, len(s.t.units))
 	rem := new(big.Int).Set(idx)
-	for i := len(s.fps) - 1; i >= 0; i-- {
-		q, m := new(big.Int).QuoRem(rem, s.counts[i], new(big.Int))
+	for i := len(s.t.units) - 1; i >= 0; i-- {
+		q, m := new(big.Int).QuoRem(rem, s.t.units[i].count, new(big.Int))
 		digits[i] = m
 		rem = q
 	}
 	return digits
+}
+
+// unrank writes unit i's filling of rank digit into the whole-skeleton
+// filling.
+func (t *table) unrank(whole []partition.VarRef, i int, digit *big.Int) error {
+	fill, err := t.units[i].ranker.Unrank(digit)
+	if err != nil {
+		return err
+	}
+	scatter(whole, t.units[i].FuncProblem, fill)
+	return nil
 }
 
 // RenderAt renders the program at the given enumeration index. This is the
@@ -210,7 +196,7 @@ func (s *Space) RenderAt(idx *big.Int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return s.sk.Render(fill), nil
+	return s.t.sk.Render(fill), nil
 }
 
 // ProgramAt returns the analyzed program at the given enumeration index by
@@ -243,7 +229,7 @@ func (s *Space) AcquireAt(idx *big.Int) (*skeleton.Instance, func(), error) {
 		in = s.instances[n-1]
 		s.instances = s.instances[:n-1]
 	} else {
-		in = s.sk.NewInstance()
+		in = s.t.sk.NewInstance()
 	}
 	in.Checked = s.CheckedRebind
 	if err := in.Instantiate(fill); err != nil {
@@ -253,53 +239,54 @@ func (s *Space) AcquireAt(idx *big.Int) (*skeleton.Instance, func(), error) {
 	return in, release, nil
 }
 
-// Pool shares one skeleton's enumeration across goroutines by handing each
-// caller a private Space. It is the enforced concurrency API over Space:
-// Get/Put are safe from any goroutine, while everything on the Space itself
-// remains single-goroutine between a Get and its Put. Pooled Spaces retain
-// their ranker memo tables and template instances across uses, so shard
-// workers draining one file amortize those allocations instead of
-// rebuilding them per shard.
+// Pool shares one skeleton's enumeration across goroutines. It owns the
+// skeleton's ranking table, built once in NewPool and only read after,
+// and hands each caller a private Space: a cursor over that table. It is
+// the enforced concurrency API over Space: Get/Put are safe from any
+// goroutine, while everything on the Space itself remains single-goroutine
+// between a Get and its Put. Pooled Spaces keep their delta-unranking
+// cache and template instances across uses, so shard workers draining one
+// file amortize those allocations instead of rebuilding them per shard; a
+// Get that finds no pooled Space builds only a new cursor.
 type Pool struct {
-	sk   *skeleton.Skeleton
-	opts Options
+	t    *table
 	pool sync.Pool
 	// CheckedRebind is propagated to every Space the pool hands out.
 	CheckedRebind bool
 	// hits/misses count Gets served by a recycled Space versus a fresh
-	// build — telemetry the campaign's /metrics surface sums at scrape
+	// cursor — telemetry the campaign's /metrics surface sums at scrape
 	// time (see Stats). One atomic add per Get, i.e. per shard task.
 	hits, misses atomic.Int64
 }
 
 // Stats reports how many Gets were served by a recycled Space (hits)
-// versus building a fresh one (misses). Purely observational.
+// versus building a fresh cursor (misses). Purely observational.
 func (p *Pool) Stats() (hits, misses int64) { return p.hits.Load(), p.misses.Load() }
 
-// NewPool validates the options once (by building a probe Space) and
-// returns the pool. The probe is kept for the first Get.
+// NewPool builds the skeleton's ranking table and returns the pool, with
+// one Space kept for the first Get.
 func NewPool(sk *skeleton.Skeleton, opts Options) (*Pool, error) {
-	probe, err := NewSpace(sk, opts)
+	t, err := newTable(sk, opts)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pool{sk: sk, opts: opts}
-	p.pool.Put(probe)
+	p := &Pool{t: t}
+	p.pool.Put(&Space{t: t})
 	return p, nil
 }
 
+// Total returns the number of fillings in the pool's sequence (the
+// skeleton's canonical count at the pool's granularity).
+func (p *Pool) Total() *big.Int { return new(big.Int).Set(p.t.total) }
+
 // Get hands out a Space for exclusive use by the calling goroutine.
 func (p *Pool) Get() *Space {
-	if s, ok := p.pool.Get().(*Space); ok && s != nil {
+	s, ok := p.pool.Get().(*Space)
+	if ok {
 		p.hits.Add(1)
-		s.CheckedRebind = p.CheckedRebind
-		return s
-	}
-	// construction cannot fail here: NewPool validated the options
-	p.misses.Add(1)
-	s, err := NewSpace(p.sk, p.opts)
-	if err != nil {
-		panic(fmt.Sprintf("spe: pool: %v", err))
+	} else {
+		p.misses.Add(1)
+		s = &Space{t: p.t}
 	}
 	s.CheckedRebind = p.CheckedRebind
 	return s

@@ -58,7 +58,7 @@ func TestLazyRenderOnlyForSymptomaticVariants(t *testing.T) {
 			if len(vr.symptoms) > 0 && vr.src == "" {
 				t.Fatal("symptomatic variant has no rendered source")
 			}
-			if len(vr.symptoms) == 0 && vr.status != statusParseFail && vr.src != "" {
+			if len(vr.symptoms) == 0 && vr.src != "" {
 				t.Fatal("symptom-free variant paid for a render")
 			}
 			if len(vr.symptoms) == 0 && vr.src == "" {

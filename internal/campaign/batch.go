@@ -9,6 +9,7 @@ import (
 	"spe/internal/cc"
 	"spe/internal/interp"
 	"spe/internal/minicc"
+	"spe/internal/partition"
 	"spe/internal/refvm"
 	"spe/internal/spe"
 )
@@ -20,7 +21,9 @@ import (
 // re-patched between runs — and then replays the compiler configurations
 // over the clean variants. The split keeps the oracle's bytecode, handler
 // tables, and slab hot in cache across the whole shard and drops the
-// per-variant template lookup.
+// per-variant template lookup. A file's original program takes the same
+// walk as slot 0 of the file's first shard, so every program the campaign
+// tests meets the same oracle and the same cached compilers.
 //
 // Phase 2 walks configurations in the outer loop: each (version, opt)
 // pair drains every clean variant in ascending order through
@@ -41,75 +44,102 @@ import (
 // compile+execute, so the extra binds are noise next to the locality
 // won.
 
-// runShardBatch processes one shard's enumerated variants through the
-// two-phase walk, appending to res.variants. The -paranoid cross-checks
-// ride inside it: sema invariants and a fresh parse per phase-1 bind, the
-// tree-walker's verdict per oracle run, and a fresh lowering per patched
-// compilation.
-func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, be *backendState, cov *minicc.Coverage, so *shardObs, res *taskResult) error {
-	n := int(t.toJ - t.fromJ)
+// runShardBatch tests one shard's programs through the two-phase walk,
+// appending to res.variants. Slot i holds walk position t.firstPos()+i:
+// on the file's first shard, slot 0 is the file's original program
+// (position -1, bound to the skeleton's own filling), and every other slot
+// is an enumerated variant. The -paranoid cross-checks ride inside it:
+// sema invariants and a fresh parse per phase-1 bind, the tree-walker's
+// verdict per oracle run, and a fresh lowering per patched compilation.
+// The walk keeps at on the program bound and the configuration running
+// it, so its errors (and runTask's recovered panics) name both.
+func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, be *backendState, cov *minicc.Coverage, so *shardObs, at *shardPos, res *taskResult) error {
+	first := t.firstPos()
+	n := int(t.toJ - first)
 	idx := new(big.Int)
 	stride := big.NewInt(t.plan.stride)
-	setIdx := func(i int) {
-		idx.SetInt64(t.fromJ + int64(i))
-		idx.Mul(idx, stride)
+	wrap := func(err error) error {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		return fmt.Errorf("campaign: corpus[%d] %v: %w", t.plan.seedIdx, at, err)
 	}
-	wrap := func(i int, err error) error {
-		return fmt.Errorf("campaign: corpus[%d] variant %d: %w", t.plan.seedIdx, t.fromJ+int64(i), err)
-	}
-
-	// RunBatch needs the analyzed template program and hole metadata
-	// before its first bind, so the first variant is acquired up front and
-	// bind(0) skips straight to the cross-checks.
-	setIdx(0)
+	// t0 starts the stage being timed. Stage timing exists only when
+	// telemetry is attached (so != nil): with telemetry off, no clock is
+	// read.
 	var t0 time.Time
 	if so != nil {
 		t0 = time.Now()
 	}
+	// RunBatch needs the analyzed template program and hole metadata
+	// before its first bind, so the instance is acquired up front, at the
+	// shard's first variant (index 0 on a shard that holds only the
+	// original)
+	at.pos = t.fromJ
+	idx.SetInt64(t.fromJ)
+	idx.Mul(idx, stride)
 	in, release, err := space.AcquireAt(idx)
 	if so != nil {
 		so.instNs += time.Since(t0).Nanoseconds()
 	}
 	if err != nil {
-		return wrap(0, err)
+		return wrap(err)
 	}
 	defer release()
 	prog := in.Program()
 	holes := in.HoleIdents()
 
-	// phase 1: every oracle verdict for the shard, one batch, one VM
-	refs := make([]*interp.Result, n)
-	var tOracle time.Time
+	// bind binds slot i's program into the instance, for both phases: the
+	// original is restored to its own filling, and a variant's filling is
+	// unranked, unless the instance already holds that program. It leaves
+	// t0 at the end of the bind.
+	bound := t.fromJ
 	bind := func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if i > 0 {
-			setIdx(i)
-			if so != nil {
-				t0 = time.Now()
-			}
-			fill, _, err := space.FillDeltaAt(idx)
-			if err == nil {
+		at.pos = first + int64(i)
+		if so != nil {
+			t0 = time.Now()
+		}
+		var err error
+		switch {
+		case at.pos == bound:
+		case at.pos < 0:
+			err = in.Restore()
+		default:
+			idx.SetInt64(at.pos)
+			idx.Mul(idx, stride)
+			var fill []partition.VarRef
+			if fill, _, err = space.FillDeltaAt(idx); err == nil {
 				err = in.Instantiate(fill)
 			}
-			if so != nil {
-				so.instNs += time.Since(t0).Nanoseconds()
-			}
-			if err != nil {
-				return wrap(i, err)
-			}
 		}
-		if cfg.Paranoid {
-			if so != nil {
-				so.paranoidChecks++
-			}
-			if err := crossCheckVariant(prog, cc.PrintFile(prog.File)); err != nil {
-				return wrap(i, err)
-			}
+		if err == nil {
+			bound = at.pos
 		}
 		if so != nil {
-			tOracle = time.Now()
+			now := time.Now()
+			so.instNs += now.Sub(t0).Nanoseconds()
+			t0 = now
+		}
+		return err
+	}
+
+	// phase 1: every oracle verdict for the shard, one batch, one VM
+	refs := make([]*interp.Result, n)
+	check := func(i int) error {
+		if err := bind(i); err != nil || !cfg.Paranoid {
+			return err
+		}
+		if so != nil {
+			so.paranoidChecks++
+		}
+		if err := crossCheckVariant(prog, cc.PrintFile(prog.File)); err != nil {
+			return err
+		}
+		if so != nil {
+			t0 = time.Now()
 		}
 		return nil
 	}
@@ -119,22 +149,22 @@ func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, b
 				so.paranoidChecks++
 			}
 			if err := crossCheckOracle(be.mach.Run(prog, interp.Config{MaxSteps: cfg.Steps}), ref); err != nil {
-				return wrap(i, err)
+				return err
 			}
 		}
 		if so != nil {
-			so.oracleNs += time.Since(tOracle).Nanoseconds()
+			so.oracleNs += time.Since(t0).Nanoseconds()
 		}
 		refs[i] = ref
 		return nil
 	}
 	rcfg := refvm.Config{MaxSteps: cfg.Steps, Dispatch: cfg.Dispatch}
-	if err := be.ref.RunBatch(prog, holes, rcfg, n, bind, yield); err != nil {
-		return err
+	if err := be.ref.RunBatch(prog, holes, rcfg, n, check, yield); err != nil {
+		return wrap(err)
 	}
 
 	// phase 2, config-outer: each (version, opt) pair drains all clean
-	// variants in ascending order through minicc.Cache.RunBatch, so one
+	// programs in ascending order through minicc.Cache.RunBatch, so one
 	// configuration's template trace and VM stay hot across the shard
 	slots := make([]variantResult, n)
 	var recs []symRec
@@ -148,31 +178,13 @@ func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, b
 		}
 	}
 	if len(clean) > 0 {
-		var tRun time.Time
-		bound := clean[0]
 		for _, ver := range cfg.Versions {
 			for _, opt := range cfg.OptLevels {
+				at.ver, at.opt = ver, opt
 				comp := &minicc.Compiler{Version: ver, Opt: opt, Seeded: true, Coverage: cov}
-				bind := func(k int) (minicc.ExecConfig, error) {
+				next := func(k int) (minicc.ExecConfig, error) {
 					i := clean[k]
-					bound = i
-					if err := ctx.Err(); err != nil {
-						return minicc.ExecConfig{}, err
-					}
-					setIdx(i)
-					if so != nil {
-						t0 = time.Now()
-					}
-					fill, _, err := space.FillDeltaAt(idx)
-					if err == nil {
-						err = in.Instantiate(fill)
-					}
-					if so != nil {
-						now := time.Now()
-						so.instNs += now.Sub(t0).Nanoseconds()
-						tRun = now
-					}
-					if err != nil {
+					if err := bind(i); err != nil {
 						return minicc.ExecConfig{}, err
 					}
 					return minicc.ExecConfig{MaxSteps: execSteps(refs[i]), Dispatch: cfg.BackendDispatch}, nil
@@ -181,15 +193,19 @@ func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, b
 					i := clean[k]
 					if so != nil {
 						now := time.Now()
-						so.backendNs += now.Sub(tRun).Nanoseconds()
+						so.backendNs += now.Sub(t0).Nanoseconds()
 						t0 = now
 					}
 					slots[i].executions++
-					if s, found := classifyOutcome(cfg, ver, opt, refs[i], ro, prog, &t.plan.attr, t.fromJ+int64(i), so); found {
+					if s, found := classifyOutcome(cfg, ver, opt, refs[i], ro, prog, &t.plan.attr, at.pos, so); found {
 						if slots[i].src == "" {
-							// the instance is still bound to variant i while
-							// yield runs, so the test case can render here
-							slots[i].src = cc.PrintFile(prog.File)
+							// the original's test case is its raw corpus
+							// text; a variant's renders here, while the
+							// instance is still bound to it
+							slots[i].src = t.plan.src
+							if at.pos >= 0 {
+								slots[i].src = cc.PrintFile(prog.File)
+							}
 						}
 						recs = append(recs, symRec{slot: i, s: s})
 					}
@@ -198,11 +214,8 @@ func runShardBatch(ctx context.Context, cfg Config, t *task, space *spe.Space, b
 					}
 					return nil
 				}
-				if err := comp.RunBatch(be.cache, prog, holes, cfg.Paranoid, len(clean), bind, yield); err != nil {
-					if ctx.Err() != nil {
-						return ctx.Err()
-					}
-					return wrap(bound, err)
+				if err := comp.RunBatch(be.cache, prog, holes, cfg.Paranoid, len(clean), next, yield); err != nil {
+					return wrap(err)
 				}
 			}
 		}

@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"spe/internal/cc"
 	"spe/internal/interp"
@@ -31,17 +30,12 @@ import (
 // cannot change under any worker count, dispatch order, re-lease, or
 // resume.
 
-// variantStatus is the coarse outcome of preparing one variant.
+// variantStatus is the coarse outcome of testing one program.
 type variantStatus int
 
 const (
-	// statusParseFail marks an original seed source the front end
-	// rejected — a bug in us, since the plan already parsed the same text.
-	// Enumerated variants are never parsed (the -paranoid cross-check
-	// re-parses each one and fails the campaign loudly on divergence).
-	statusParseFail variantStatus = iota
-	statusUB                      // filtered by the reference interpreter
-	statusClean
+	statusUB    variantStatus = iota // filtered by the reference interpreter
+	statusClean                      // ran under every compiler configuration
 )
 
 // symptomClass discriminates symptom records.
@@ -71,9 +65,10 @@ type symptom struct {
 }
 
 // variantResult is everything the aggregator needs to replay one tested
-// variant. src is populated lazily: the aggregator only reads it when a
+// program. src is populated lazily: the aggregator only reads it when a
 // symptom turns into a finding's sample test case, so the AST-resident hot
-// path renders source exclusively for symptomatic variants.
+// path renders source exclusively for symptomatic variants (an original's
+// test case is its raw corpus text).
 type variantResult struct {
 	status     variantStatus
 	executions int
@@ -127,63 +122,6 @@ func (a *attrTable) claim(k attrKey, pos int64) bool {
 type symRec struct {
 	slot int
 	s    symptom
-}
-
-// evalOriginal tests a file's unmodified seed program, walk position -1
-// (before every variant). The source is parsed fresh, since a finding's
-// test case must be the raw corpus bytes, and the program runs on the
-// references: the tree-walking oracle on the pooled machine, then a cold
-// compile per configuration (a freshly parsed program has no template
-// identity to key the bytecode or IR caches on). The source is attached
-// only when a symptom appears, like a variant's lazy render. cov records
-// the compiler instrumentation sites the program exercises; attribution
-// recompilations bypass it (see attributeWrongCode).
-func evalOriginal(cfg Config, src string, be *backendState, attr *attrTable, cov *minicc.Coverage, so *shardObs) variantResult {
-	file, err := cc.Parse(src)
-	if err != nil {
-		return variantResult{src: src}
-	}
-	prog, err := cc.Analyze(file)
-	if err != nil {
-		return variantResult{src: src}
-	}
-	// stage timing exists only when telemetry is attached (so != nil): with
-	// telemetry off, no clock is read
-	var t0 time.Time
-	if so != nil {
-		t0 = time.Now()
-	}
-	ref := be.mach.Run(prog, interp.Config{MaxSteps: cfg.Steps})
-	if so != nil {
-		so.oracleNs += time.Since(t0).Nanoseconds()
-	}
-	if !ref.Defined() {
-		return variantResult{status: statusUB}
-	}
-	vr := variantResult{status: statusClean}
-	ecfg := minicc.ExecConfig{MaxSteps: execSteps(ref), Dispatch: cfg.BackendDispatch}
-	for _, ver := range cfg.Versions {
-		for _, opt := range cfg.OptLevels {
-			vr.executions++
-			if so != nil {
-				t0 = time.Now()
-			}
-			ro := (&minicc.Compiler{Version: ver, Opt: opt, Seeded: true, Coverage: cov}).Run(prog, ecfg)
-			if so != nil {
-				now := time.Now()
-				so.backendNs += now.Sub(t0).Nanoseconds()
-				t0 = now
-			}
-			if s, found := classifyOutcome(cfg, ver, opt, ref, ro, prog, attr, -1, so); found {
-				vr.src = src
-				vr.symptoms = append(vr.symptoms, s)
-			}
-			if so != nil {
-				so.classifyNs += time.Since(t0).Nanoseconds()
-			}
-		}
-	}
-	return vr
 }
 
 // execSteps is the step budget of a compiled binary whose reference run

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"sort"
@@ -115,31 +116,62 @@ func (e *RemoteEngine) runLocal(ctx context.Context) (*Report, error) {
 	return e.Finalize()
 }
 
+// ErrShardPanic marks a shard error recovered from a panic. A shard is a
+// pure function of its task, so every re-run panics the same way.
+var ErrShardPanic = errors.New("shard panicked")
+
+// shardPos is where a shard walk stands: the walk position of the program
+// bound in the instance (-1 for the file's original) and, in phase 2, the
+// compiler configuration running it.
+type shardPos struct {
+	pos int64
+	ver string
+	opt int
+}
+
+func (p *shardPos) String() string {
+	if p.ver == "" {
+		return fmt.Sprintf("walk position %d", p.pos)
+	}
+	return fmt.Sprintf("walk position %d (%s -O%d)", p.pos, p.ver, p.opt)
+}
+
 // runTask processes one shard: the worker half of the pipeline. Alongside
 // the differential results it reports the shard's wall-clock cost and the
 // instrumentation sites its compilations hit — the feedback the scheduler
 // steers by. The recorder is lenient so site-registry drift surfaces as a
 // campaign error instead of a panicking worker.
 //
-// The worker checks a Space and a backendState out of the file's pools.
-// The file's original program, on the file's first task, runs first
-// (evalOriginal); the shard's enumerated variants then take the one
-// batched walk (runShardBatch): each enumeration index patches the
-// Space's pooled template clone in place, so no variant is ever re-lexed,
-// re-parsed, or re-analyzed, and source text is rendered only when a
-// variant exhibits a symptom or the -paranoid cross-check demands it.
-func runTask(ctx context.Context, cfg Config, t *task) *taskResult {
-	res := &taskResult{seq: t.seq, plan: t.plan, newFile: t.newFile, region: t.region}
+// The worker checks a Space and a backendState out of the file's pools,
+// and every program of the shard, the file's original included, takes
+// the one batched walk (runShardBatch): each program patches the Space's
+// pooled template clone in place, so none is ever re-lexed, re-parsed, or
+// re-analyzed, and source text is rendered only when a variant exhibits a
+// symptom or the -paranoid cross-check demands it.
+//
+// A panic anywhere in the shard becomes the task's error, wrapping
+// ErrShardPanic and naming the file and the walk position (plus the
+// compiler configuration in phase 2). A walk that fails or panics drops
+// its pooled state instead of putting it back, since it may have stopped
+// half-patched.
+func runTask(ctx context.Context, cfg Config, t *task) (res *taskResult) {
+	res = &taskResult{seq: t.seq, plan: t.plan, newFile: t.newFile, region: t.region}
 	if t.plan.skip {
 		return res
 	}
+	at := shardPos{pos: t.firstPos()}
+	defer func() {
+		if r := recover(); r != nil {
+			res.err = fmt.Errorf("campaign: corpus[%d] %v: %w: %v", t.plan.seedIdx, &at, ErrShardPanic, r)
+		}
+	}()
 	start := time.Now()
 	var cov *minicc.Coverage // nil receiver = no-op recorder
 	if cfg.collectCoverage() {
 		cov = minicc.NewLenientCoverage()
 	}
 	be := t.plan.backends.Get()
-	defer t.plan.backends.Put(be)
+	space := t.plan.pool.Get()
 	// shard-local telemetry accumulator: plain ints touched on the variant
 	// path, folded into the shared atomics once at merge. nil (and therefore
 	// completely absent from the hot path) when telemetry is off.
@@ -147,25 +179,20 @@ func runTask(ctx context.Context, cfg Config, t *task) *taskResult {
 	if cfg.Telemetry != nil {
 		so = &shardObs{miniccBase: be.cache.Stats(), refvmBase: be.ref.Stats()}
 	}
-	if t.includeOriginal {
-		res.variants = append(res.variants, evalOriginal(cfg, t.plan.src, be, &t.plan.attr, cov, so))
-	}
-	if t.toJ > t.fromJ {
-		space := t.plan.pool.Get()
-		defer t.plan.pool.Put(space)
-		if err := runShardBatch(ctx, cfg, t, space, be, cov, so, res); err != nil {
-			res.err = err
-			return res
-		}
-	}
-	if err := cov.Err(); err != nil {
-		res.err = fmt.Errorf("campaign: corpus[%d]: coverage registry drift: %w", t.plan.seedIdx, err)
+	if err := runShardBatch(ctx, cfg, t, space, be, cov, so, &at, res); err != nil {
+		res.err = err
 		return res
 	}
 	if so != nil {
 		so.minicc = be.cache.Stats().Sub(so.miniccBase)
 		so.refvm = be.ref.Stats().Sub(so.refvmBase)
 		res.obs = so
+	}
+	t.plan.pool.Put(space)
+	t.plan.backends.Put(be)
+	if err := cov.Err(); err != nil {
+		res.err = fmt.Errorf("campaign: corpus[%d]: coverage registry drift: %w", t.plan.seedIdx, err)
+		return res
 	}
 	res.sites = cov.Snapshot()
 	res.elapsedNs = time.Since(start).Nanoseconds()
@@ -254,10 +281,7 @@ func (st *aggState) merge(cfg Config, r *taskResult) {
 	for i := range r.variants {
 		vr := &r.variants[i]
 		st.stats.Variants++
-		switch vr.status {
-		case statusParseFail:
-			continue
-		case statusUB:
+		if vr.status == statusUB {
 			st.stats.VariantsUB++
 			continue
 		}

@@ -117,8 +117,10 @@ func TestTelemetryParanoid(t *testing.T) {
 	if got := rep.Format(); got != want {
 		t.Errorf("paranoid telemetry report diverges:\n--- paranoid ---\n%s--- baseline ---\n%s", got, want)
 	}
-	if tel.paranoidChecks.Load() == 0 {
-		t.Error("paranoid campaign recorded no spe_paranoid_checks_total")
+	// two checks per tested program, each file's original included: the
+	// rendered program's re-parse and the tree-walker's verdict
+	if got, want := tel.paranoidChecks.Load(), 2*int64(rep.Stats.Variants); got != want {
+		t.Errorf("spe_paranoid_checks_total = %d, want %d (two per tested program)", got, want)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 )
 
 // backendState is the per-worker-checkout bundle of reusable execution
-// backends: a pooled tree-walking interpreter machine (the originals'
-// oracle and the paranoid cross-checks), the bytecode-oracle cache
+// backends: a pooled tree-walking interpreter machine (-paranoid's
+// reference for the oracle's verdicts), the bytecode-oracle cache
 // (skeleton-keyed bytecode templates + pooled VM), and the minicc backend
 // cache (IR templates + VM state). Like a spe.Space, a
 // backendState is single-goroutine between a Get and its Put; workers
@@ -259,12 +259,22 @@ type task struct {
 	// newFile marks the file's first task, which carries the Files /
 	// NaiveTotal / CanonicalTotal / FilesSkipped statistics.
 	newFile bool
-	// includeOriginal tests the unmodified seed source before the range.
+	// includeOriginal tests the unmodified seed program, walk position -1,
+	// before the range.
 	includeOriginal bool
 	fromJ, toJ      int64 // tested-variant positions [fromJ, toJ)
 	// region is the scheduling region the range starts in (plan.regionOf
 	// of fromJ): advisory dispatch metadata, never part of task identity.
 	region int
+}
+
+// firstPos is the walk position of the task's first program: -1 when it
+// carries the original, fromJ otherwise.
+func (t *task) firstPos() int64 {
+	if t.includeOriginal {
+		return t.fromJ - 1
+	}
+	return t.fromJ
 }
 
 // tasks cuts the plan into shard tasks of at most cfg.ShardSize variants.

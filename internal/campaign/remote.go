@@ -67,9 +67,9 @@ func specOf(t *task) TaskSpec {
 // exported, so it serializes as-is).
 type Symptom = symptom
 
-// VariantOutcome is the wire form of one tested variant's outcome.
+// VariantOutcome is the wire form of one tested program's outcome.
 type VariantOutcome struct {
-	// Status is the variantStatus ordinal (parse-fail / UB / clean).
+	// Status is the variantStatus ordinal (UB / clean).
 	Status     int       `json:"st"`
 	Executions int       `json:"ex,omitempty"`
 	Src        string    `json:"src,omitempty"`

@@ -159,7 +159,7 @@ func NewTelemetry() *Telemetry {
 
 		checkpointWriteMs: reg.Histogram("spe_checkpoint_write_ms", "Checkpoint write latency, milliseconds.", obs.ExpBuckets(0.25, 2, 12)),
 		checkpointsTotal:  reg.Counter("spe_checkpoints_total", "Checkpoint files written."),
-		paranoidChecks:    reg.Counter("spe_paranoid_checks_total", "Per-variant -paranoid cross-checks performed."),
+		paranoidChecks:    reg.Counter("spe_paranoid_checks_total", "-paranoid cross-checks performed: two per tested program."),
 		attributions:      reg.Counter("spe_attributions_total", "Wrong-code attribution searches run (bug-by-bug cold recompilations of one variant)."),
 
 		findingsCrash:      reg.Counter("spe_findings_total", "Deduplicated findings by class.", obs.L("class", "crash")),

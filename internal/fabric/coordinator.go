@@ -135,9 +135,7 @@ func (c *Coordinator) Join(ctx context.Context, req *JoinRequest) (*JoinResponse
 }
 
 // Lease hands out up to req.Max shard tasks in one batch, or tells the
-// worker to wait, exit on completion, or abort on campaign failure. The
-// response's legacy Spec/LeaseID fields mirror the first grant for older
-// workers that predate batching.
+// worker to wait, exit on completion, or abort on campaign failure.
 func (c *Coordinator) Lease(ctx context.Context, req *LeaseRequest) (*LeaseResponse, error) {
 	if err := c.checkCampaign(req.CampaignID); err != nil {
 		return nil, err
@@ -154,7 +152,7 @@ func (c *Coordinator) Lease(ctx context.Context, req *LeaseRequest) (*LeaseRespo
 	}
 	max := req.Max
 	if max <= 0 {
-		max = 1 // pre-batching worker
+		max = 1 // Max comes off the wire: a missing or bad value asks for one
 	}
 	var grants []LeaseGrant
 	for len(grants) < max {
@@ -181,12 +179,7 @@ func (c *Coordinator) Lease(ctx context.Context, req *LeaseRequest) (*LeaseRespo
 		c.opts.Metrics.incWaitPolls()
 		return &LeaseResponse{Status: StatusWait, RetryAfterMs: c.retryAfterMs()}, nil
 	}
-	return &LeaseResponse{
-		Status:  StatusTask,
-		Spec:    grants[0].Spec,
-		LeaseID: grants[0].LeaseID,
-		Grants:  grants,
-	}, nil
+	return &LeaseResponse{Status: StatusTask, Grants: grants}, nil
 }
 
 // retryAfterMs paces wait polling: a quarter lease timeout, clamped so

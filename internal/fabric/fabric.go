@@ -30,9 +30,10 @@
 //     that seq. When a seq exceeds MaxRetries the campaign fails with an
 //     error (never a hang); in-flight progress is checkpointed.
 //   - A failure the worker marks Reproducible (its result is over the
-//     coordinator's body bound, and a result is a pure function of its
-//     task) fails the campaign on the first report, naming the task and
-//     its corpus file, without spending retries on identical re-runs.
+//     coordinator's body bound, or the shard panicked, and a shard is a
+//     pure function of its task) fails the campaign on the first report,
+//     naming the task and its corpus file, without spending retries on
+//     identical re-runs.
 package fabric
 
 import (
@@ -79,8 +80,8 @@ type LeaseRequest struct {
 	WorkerID   string `json:"worker"`
 	// Max is how many tasks the worker can start right now (its free
 	// execution slots), letting the coordinator grant a whole batch in
-	// one round trip instead of one lease per HTTP call. Zero or absent
-	// (an older worker) means one.
+	// one round trip instead of one lease per HTTP call. Zero, negative
+	// or absent means one.
 	Max int `json:"max,omitempty"`
 }
 
@@ -92,16 +93,12 @@ type LeaseGrant struct {
 }
 
 // LeaseResponse grants one or more leases or tells the worker what to do
-// instead. On StatusTask the batched Grants slice carries every grant;
-// the legacy Spec/LeaseID fields duplicate the first grant so older
-// workers (which ignore Grants) keep working against a newer coordinator.
+// instead. On StatusTask, Grants carries every grant.
 type LeaseResponse struct {
-	Status       string            `json:"status"`
-	Spec         campaign.TaskSpec `json:"spec,omitempty"`
-	LeaseID      string            `json:"lease,omitempty"`
-	Grants       []LeaseGrant      `json:"grants,omitempty"`
-	RetryAfterMs int64             `json:"retry_after_ms,omitempty"`
-	Err          string            `json:"err,omitempty"`
+	Status       string       `json:"status"`
+	Grants       []LeaseGrant `json:"grants,omitempty"`
+	RetryAfterMs int64        `json:"retry_after_ms,omitempty"`
+	Err          string       `json:"err,omitempty"`
 }
 
 // ResultRequest reports a finished (or failed) shard back under a lease.
@@ -115,8 +112,9 @@ type ResultRequest struct {
 	// Err reports a worker-side shard failure (counts a retry for the seq).
 	Err string `json:"err,omitempty"`
 	// Reproducible marks an Err that every re-run of the task yields
-	// again, such as a result over the coordinator's body bound: the
-	// coordinator fails the campaign at once instead of re-leasing.
+	// again, such as a result over the coordinator's body bound or a
+	// panicking shard: the coordinator fails the campaign at once instead
+	// of re-leasing.
 	Reproducible bool `json:"reproducible,omitempty"`
 }
 

@@ -39,7 +39,9 @@ func newTestCoordinator(t *testing.T, cfg campaign.Config, opts Options) (*Coord
 	return NewCoordinator(core, opts), planner
 }
 
-func mustLeaseTask(t *testing.T, c *Coordinator, worker string) *LeaseResponse {
+// mustLeaseTask leases without Max, which must grant exactly one task,
+// and returns that grant.
+func mustLeaseTask(t *testing.T, c *Coordinator, worker string) LeaseGrant {
 	t.Helper()
 	resp, err := c.Lease(context.Background(), &LeaseRequest{CampaignID: c.ID(), WorkerID: worker})
 	if err != nil {
@@ -48,7 +50,10 @@ func mustLeaseTask(t *testing.T, c *Coordinator, worker string) *LeaseResponse {
 	if resp.Status != StatusTask {
 		t.Fatalf("lease status = %q, want %q (err=%q)", resp.Status, StatusTask, resp.Err)
 	}
-	return resp
+	if len(resp.Grants) != 1 {
+		t.Fatalf("a lease without Max got %d grants, want 1", len(resp.Grants))
+	}
+	return resp.Grants[0]
 }
 
 // TestLeaseExpiryRedispatch leases a task, lets the lease expire, and
@@ -260,9 +265,10 @@ func TestLeaseWindowRecovers(t *testing.T) {
 		if resp.Status != StatusTask {
 			t.Fatalf("lease status = %q", resp.Status)
 		}
-		granted[resp.Spec.Seq] = true
-		if lowest == -1 || resp.Spec.Seq < lowest {
-			lowest = resp.Spec.Seq
+		seq := resp.Grants[0].Spec.Seq
+		granted[seq] = true
+		if lowest == -1 || seq < lowest {
+			lowest = seq
 		}
 	}
 	if len(granted) == 0 {
@@ -291,11 +297,9 @@ func TestLeaseWindowRecovers(t *testing.T) {
 }
 
 // TestLeaseBatchedGrants asks for two tasks in one round trip and
-// asserts the batch carries two distinct leases whose legacy
-// Spec/LeaseID mirror fields duplicate the first grant (what a
-// pre-batching worker reads); a request without Max still gets exactly
-// one grant. tinyConfig cuts exactly three shard tasks, so the batch
-// leaves one for the legacy request.
+// asserts the batch carries two distinct leases; a request without Max
+// still gets exactly one grant. tinyConfig cuts exactly three shard
+// tasks, so the batch leaves one for the request without Max.
 func TestLeaseBatchedGrants(t *testing.T) {
 	coord, _ := newTestCoordinator(t, tinyConfig(), Options{LeaseTimeout: time.Minute})
 
@@ -308,10 +312,6 @@ func TestLeaseBatchedGrants(t *testing.T) {
 	}
 	if len(resp.Grants) != 2 {
 		t.Fatalf("got %d grants, want 2", len(resp.Grants))
-	}
-	if resp.Spec.Seq != resp.Grants[0].Spec.Seq || resp.LeaseID != resp.Grants[0].LeaseID {
-		t.Fatalf("legacy fields (seq %d, lease %q) do not mirror the first grant (seq %d, lease %q)",
-			resp.Spec.Seq, resp.LeaseID, resp.Grants[0].Spec.Seq, resp.Grants[0].LeaseID)
 	}
 	seqs := map[int]bool{}
 	leases := map[string]bool{}
@@ -326,12 +326,9 @@ func TestLeaseBatchedGrants(t *testing.T) {
 		t.Fatalf("ActiveLeases = %d, want 2", coord.ActiveLeases())
 	}
 
-	// a legacy request (no Max) gets exactly one grant
-	legacy := mustLeaseTask(t, coord, "legacy")
-	if len(legacy.Grants) != 1 {
-		t.Fatalf("legacy request got %d grants, want 1", len(legacy.Grants))
-	}
-	if seqs[legacy.Spec.Seq] {
-		t.Fatalf("legacy grant re-issued an already-leased seq %d", legacy.Spec.Seq)
+	// a request without Max gets exactly one grant
+	single := mustLeaseTask(t, coord, "single")
+	if seqs[single.Spec.Seq] {
+		t.Fatalf("the single grant re-issued an already-leased seq %d", single.Spec.Seq)
 	}
 }

@@ -191,10 +191,6 @@ loop:
 			}
 		case StatusTask:
 			grants := resp.Grants
-			if len(grants) == 0 {
-				// pre-batching coordinator: single grant in legacy fields
-				grants = []LeaseGrant{{Spec: resp.Spec, LeaseID: resp.LeaseID}}
-			}
 			if len(grants) > free {
 				// over-grant from a misbehaving coordinator: run what fits,
 				// let the excess leases expire and re-lease harmlessly
@@ -227,8 +223,9 @@ loop:
 
 // execute runs one leased shard and reports the outcome. A worker-side
 // shard error is reported to the coordinator, which charges a retry and
-// re-leases; a result the coordinator refuses as over its body bound is
-// reported as a reproducible failure, which fails the campaign at once.
+// re-leases; a panicking shard, or a result the coordinator refuses as
+// over its body bound, is reported as a reproducible failure, which fails
+// the campaign at once.
 // It returns errCampaignOver when the report confirms the campaign
 // completed, a terminal error on transport exhaustion or campaign
 // failure, and nil when the loop should simply continue.
@@ -242,6 +239,7 @@ func (w *Worker) execute(ctx context.Context, campaignID, id string, planner *ca
 	req := &ResultRequest{CampaignID: campaignID, WorkerID: id, LeaseID: g.LeaseID, Seq: g.Spec.Seq}
 	if runErr != nil {
 		req.Err = runErr.Error()
+		req.Reproducible = errors.Is(runErr, campaign.ErrShardPanic)
 	} else {
 		req.Result = res
 	}

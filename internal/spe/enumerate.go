@@ -50,9 +50,6 @@ const (
 type Options struct {
 	Mode        Mode
 	Granularity Granularity
-	// Threshold, when non-nil, is the paper's per-file variant cap (§5.2.1
-	// uses 10,000): files whose count exceeds it should be skipped.
-	Threshold *big.Int
 }
 
 // Count returns the number of programs the configured enumeration would
@@ -105,15 +102,6 @@ func scatter(whole []partition.VarRef, fp *skeleton.FuncProblem, fill []partitio
 	for j, vr := range fill {
 		whole[fp.HoleIdx[j]] = partition.VarRef{Group: fp.GroupIdx[vr.Group], Index: vr.Index}
 	}
-}
-
-// ExceedsThreshold reports whether the skeleton's variant count exceeds the
-// configured threshold (always false when no threshold is set).
-func ExceedsThreshold(sk *skeleton.Skeleton, opts Options) bool {
-	if opts.Threshold == nil {
-		return false
-	}
-	return Count(sk, opts).Cmp(opts.Threshold) > 0
 }
 
 // Variant is one enumerated program.

@@ -111,22 +111,6 @@ int main() { return f() + g(); }
 	}
 }
 
-func TestThreshold(t *testing.T) {
-	sk := skeleton.MustBuild(motivating)
-	opts := Options{Mode: ModeCanonical, Granularity: Inter, Threshold: big.NewInt(10)}
-	if !ExceedsThreshold(sk, opts) {
-		t.Error("64 variants should exceed threshold 10")
-	}
-	opts.Threshold = big.NewInt(10000)
-	if ExceedsThreshold(sk, opts) {
-		t.Error("64 variants should not exceed threshold 10000")
-	}
-	opts.Threshold = nil
-	if ExceedsThreshold(sk, opts) {
-		t.Error("nil threshold must never be exceeded")
-	}
-}
-
 func TestEnumeratePaperModeRejected(t *testing.T) {
 	sk := skeleton.MustBuild(motivating)
 	if _, err := Enumerate(sk, Options{Mode: ModePaper}, func(Variant) bool { return true }); err == nil {

@@ -13,7 +13,8 @@
 //	                                 print variants (default: canonical,
 //	                                 intra-procedural, all of them)
 //	spe campaign [-workers N] [-checkpoint path] [-variants N]
-//	             [-versions list] [-schedule fifo|coverage|region]
+//	             [-threshold N] [-versions list]
+//	             [-schedule fifo|coverage|region]
 //	             [-curve] [-reduce] [-inter]
 //	             [-dispatch threaded|switch] [-backend-dispatch threaded|switch]
 //	             [-paranoid] [-status-addr host:port]
@@ -37,9 +38,10 @@
 //	                                 AST templates and executed on pooled
 //	                                 backends (skeleton-compiled bytecode
 //	                                 reference oracle, reusable interpreter
-//	                                 machines, skeleton-keyed compiler IR
-//	                                 templates) in one batched walk per
-//	                                 shard — -dispatch=switch restores the
+//	                                 machines, compiler IR templates keyed
+//	                                 on skeleton and hole shape) in one
+//	                                 batched walk per shard —
+//	                                 -dispatch=switch restores the
 //	                                 bytecode VM's monolithic opcode switch
 //	                                 (the default threaded engine
 //	                                 dispatches through a fused,
@@ -197,7 +199,8 @@ func campaignMain(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); any value yields identical reports")
 	checkpoint := fs.String("checkpoint", "", "periodically persist campaign state to this path; resumed if it exists")
-	variants := fs.Int("variants", 200, "maximum enumerated variants tested per file")
+	variants := fs.Int("variants", 200, "maximum enumerated variants tested per file (0 = the -threshold)")
+	threshold := fs.Int64("threshold", 10_000, "skip files whose canonical variant count exceeds this (the paper's 10,000; -1 = unlimited)")
 	versions := fs.String("versions", "trunk", "comma-separated compiler versions under test")
 	schedule := fs.String("schedule", campaign.ScheduleFIFO, "shard dispatch policy: fifo (enumeration order), coverage (drain novel files first), or region (score each file's regions independently); same final report either way")
 	curve := fs.Bool("curve", false, "record and print the coverage-over-time curve to stderr (under fifo this enables coverage collection)")
@@ -219,6 +222,14 @@ func campaignMain(args []string) error {
 	}
 	if *serve != "" && *connect != "" {
 		return fmt.Errorf("-serve and -connect are mutually exclusive (one process is either the coordinator or a worker)")
+	}
+	// Config reads a zero Threshold as 10,000 and a zero budget as the
+	// threshold, and a non-positive budget stops each file after one variant
+	if *threshold == 0 || *threshold < -1 {
+		return fmt.Errorf("-threshold %d: want a positive variant count, or -1 for unlimited", *threshold)
+	}
+	if *variants < 0 || (*variants == 0 && *threshold < 0) {
+		return fmt.Errorf("-variants %d: want a positive count (0 means the -threshold, which must then be positive)", *variants)
 	}
 	// SIGINT/SIGTERM cancel the campaign context: the engine (or fabric
 	// coordinator) checkpoints its merged prefix and exits cleanly instead
@@ -315,6 +326,7 @@ func campaignMain(args []string) error {
 	cfg := campaign.Config{
 		Corpus:             progs,
 		Versions:           strings.Split(*versions, ","),
+		Threshold:          *threshold,
 		MaxVariantsPerFile: *variants,
 		Granularity:        gran,
 		ReduceTestCases:    *reduce,

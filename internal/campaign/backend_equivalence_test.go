@@ -181,3 +181,29 @@ func TestOracleDirtyState(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasesWalkReplaysTemplates guards the backend's template traffic
+// on the paper seeds across all four releases, at one worker. Of the
+// walk's 15 728 compilations, 1 184 lower fresh with one IR template per
+// shape class (at most 16 per program); one template per program would
+// lower 4 416 fresh. The bound is loose: a spe.Pool miss after a garbage
+// collection hands the next shard a new instance, whose program starts a
+// new template list.
+func TestReleasesWalkReplaysTemplates(t *testing.T) {
+	tel := NewTelemetry()
+	if _, err := Run(Config{
+		Corpus:             corpus.Seeds(),
+		Versions:           []string{"4.8", "5.3", "6.0", "trunk"},
+		Threshold:          -1,
+		MaxVariantsPerFile: 100,
+		Workers:            1,
+		Telemetry:          tel,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fresh, builds := tel.miniccFreshLowerings.Load(), tel.miniccTemplateBuilds.Load()
+	t.Logf("%d fresh lowerings, %d template builds, %d replays", fresh, builds, tel.miniccReplays.Load())
+	if fresh > 1500 {
+		t.Errorf("spe_minicc_fresh_lowerings_total = %d, want at most 1500", fresh)
+	}
+}

@@ -131,9 +131,9 @@ func NewTelemetry() *Telemetry {
 		stageBackendNs:     reg.Counter("spe_stage_ns_total", "Per-stage wall-clock split, nanoseconds.", obs.L("stage", "backend")),
 		stageClassifyNs:    reg.Counter("spe_stage_ns_total", "Per-stage wall-clock split, nanoseconds.", obs.L("stage", "classify")),
 
-		miniccTemplateBuilds: reg.Counter("spe_minicc_template_builds_total", "minicc IR templates lowered (once per skeleton per cache)."),
+		miniccTemplateBuilds: reg.Counter("spe_minicc_template_builds_total", "minicc IR templates lowered (once per hole-shape class per program per cache, up to a per-program cap)."),
 		miniccReplays:        reg.Counter("spe_minicc_replays_total", "Compilations served by IR-template trace replay."),
-		miniccFreshLowerings: reg.Counter("spe_minicc_fresh_lowerings_total", "Compilations that fell back to a fresh lowering."),
+		miniccFreshLowerings: reg.Counter("spe_minicc_fresh_lowerings_total", "Compilations lowered fresh: their shape class was past the per-program template cap, or the program's lowering fails structurally."),
 		miniccThreadedRuns:   reg.Counter("spe_minicc_runs_total", "Compiled-binary executions by instruction dispatch engine.", obs.L("dispatch", "threaded")),
 		miniccSwitchRuns:     reg.Counter("spe_minicc_runs_total", "Compiled-binary executions by instruction dispatch engine.", obs.L("dispatch", "switch")),
 		miniccBatchRuns:      reg.Counter("spe_minicc_batch_runs_total", "Compiled-binary executions served inside a batched per-config shard walk."),

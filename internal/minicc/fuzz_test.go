@@ -112,11 +112,15 @@ func TestDifferentialEnumeratedVariants(t *testing.T) {
 // FuzzMiniccDifferential picks a generated corpus (generator seed), a
 // file of it, a variant rank, a compiler version and -O level, seeded or
 // not, and a step budget between 5 000 and 100 000. The variant runs
-// through a Cache patched from the file's first variant, as in a campaign
-// shard, on the threaded loop (with the loop detector), and fresh on the
-// switch loop (without it). The compile outcome, every ExecResult field
-// and every coverage count must match. The seed entries use only the
-// repository's generator seeds.
+// through a Cache that first compiled the file's first variant, as in a
+// campaign shard, on the threaded loop (with the loop detector), and fresh
+// on the switch loop (without it). The compile outcome, every ExecResult
+// field and every coverage count must match. The first variant then runs
+// through the same Cache again and must repeat its first outcome: when the
+// fuzzed variant sits in another shape class, that is a return to the
+// first class's template. The cached runs are paranoid, so every patched
+// lowering is also compared with a fresh one. The seed entries use only
+// the repository's generator seeds.
 func FuzzMiniccDifferential(f *testing.F) {
 	// files with more holes are skipped: building their enumeration
 	// space takes up to seconds
@@ -146,11 +150,21 @@ func FuzzMiniccDifferential(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer release()
+		firstFill := in.Fill()
 		c := &Compiler{Version: Versions[int(ver)%len(Versions)], Opt: OptLevels[int(opt)%len(OptLevels)], Seeded: seeded}
 		cfg := ExecConfig{MaxSteps: maxSteps}
 		ca := NewCache()
-		if _, err := c.RunCached(ca, in.Program(), in.HoleIdents(), cfg, false); err != nil {
+		c.Coverage = NewCoverage()
+		first, err := c.RunCached(ca, in.Program(), in.HoleIdents(), cfg, true)
+		if err != nil {
 			t.Fatal(err)
+		}
+		// the outcome aliases cache scratch: keep copies
+		firstCompile, firstCov := compileDigest(first.Compile), c.Coverage
+		var firstExec *ExecResult
+		if first.Exec != nil {
+			e := *first.Exec
+			firstExec = &e
 		}
 		idx := new(big.Int).Mod(new(big.Int).SetUint64(rank), space.Total())
 		fill, _, err := space.FillDeltaAt(idx)
@@ -162,7 +176,7 @@ func FuzzMiniccDifferential(f *testing.F) {
 		}
 		vprog := in.Program()
 		c.Coverage = NewCoverage()
-		got, err := c.RunCached(ca, vprog, in.HoleIdents(), cfg, false)
+		got, err := c.RunCached(ca, vprog, in.HoleIdents(), cfg, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,6 +199,28 @@ func FuzzMiniccDifferential(f *testing.F) {
 		for _, site := range Sites() {
 			if g, r := gotCov.SiteCount(site), c.Coverage.SiteCount(site); g != r {
 				fail("coverage site %s: %d hits, switch loop %d", site, g, r)
+			}
+		}
+		if err := in.Instantiate(firstFill); err != nil {
+			t.Fatal(err)
+		}
+		c.Coverage = NewCoverage()
+		again, err := c.RunCached(ca, vprog, in.HoleIdents(), cfg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := compileDigest(again.Compile); g != firstCompile {
+			fail("first variant again: compile %q, first %q", g, firstCompile)
+		}
+		if (again.Exec == nil) != (firstExec == nil) {
+			fail("first variant again: exec %v, first %v", again.Exec, firstExec)
+		}
+		if again.Exec != nil && *again.Exec != *firstExec {
+			fail("first variant again: exec %+v, first %+v", *again.Exec, *firstExec)
+		}
+		for _, site := range Sites() {
+			if g, r := c.Coverage.SiteCount(site), firstCov.SiteCount(site); g != r {
+				fail("first variant again: coverage site %s: %d hits, first %d", site, g, r)
 			}
 		}
 	})

@@ -16,10 +16,11 @@
 // Concurrency and ownership: Compiler values, Compile/Run, and Execute are
 // safe for concurrent use on distinct inputs (they share only immutable
 // state: the bug registry and site registry). The reuse layer is not: a
-// Cache — IR templates keyed on the template program plus pooled VM state
-// — is strictly single-goroutine, and the outcome of RunCached (including
-// its Compile.Program) aliases cache-owned scratch that the next RunCached
-// on the same cache recycles. Campaign workers hold one Cache each. A
+// Cache — IR templates keyed on the template program, one per hole-shape
+// class, plus pooled VM state — is strictly single-goroutine, and the
+// outcome of RunCached (including its Compile.Program) aliases cache-owned
+// scratch that the next RunCached on the same cache recycles. Campaign
+// workers hold one Cache each. A
 // lowered Program references the source AST (Func.Decl, Globals, Statics
 // initializers); executing it reads that AST live, so the variant's holes
 // must stay patched to the intended filling until execution finishes.

@@ -271,7 +271,7 @@ func regionsPipeline(t testing.TB, opt int) func() {
 		t.Fatal(err)
 	}
 	ca := NewCache()
-	tm := ca.template(prog, nil)
+	tm := buildTemplate(prog, nil)
 	c := &Compiler{Version: "trunk", Opt: opt, Seeded: true}
 	bugs, cov := c.bugSet(), NewCoverage()
 	return func() {

@@ -23,8 +23,8 @@ package minicc
 //     holes), so rebinding a hole cannot renumber registers. The only
 //     exception is a hole directly under '&' — refilling it moves the
 //     address-taken set, which can demote a register variable to memory —
-//     and such holes are marked volatile: any variant that moves one falls
-//     back to fresh lowering.
+//     and such holes are marked volatile: a template serves only fills
+//     whose volatile holes sit at the template's base symbols.
 //
 //  3. A hole's use lowers to one of two shapes. A register-promoted symbol
 //     contributes no instructions, only its register number in the operand
@@ -33,10 +33,20 @@ package minicc
 //     (the former via sentinel registers during the traced lowering), and
 //     instantiation rewrites exactly those sites. A refill that changes a
 //     hole's shape (register ↔ memory) would change the instruction
-//     sequence itself, so it too falls back to fresh lowering.
+//     sequence itself, so a template serves only fills whose moved holes
+//     keep their base symbols' shapes.
+//
+// Facts 2 and 3 split a program's fills into shape classes: each hole's
+// reg/mem shape, plus the symbol of every volatile hole. A template serves
+// exactly the fills of its base fill's class (patchable), so the cache
+// keeps a short list of templates per program, one per class, each built
+// from the first fill of its class to be compiled. Past maxClassTemplates
+// classes, or when the program's lowering fails structurally, a
+// compilation lowers fresh.
 //
 // Per variant and compiler configuration the cached path therefore costs:
-// replay the event trace, memcpy the template blocks into a reusable
+// find the class template (the first in the list that is patchable), replay
+// the event trace, memcpy the template blocks into the template's reusable
 // scratch clone (the optimization passes mutate their input, so they get a
 // private copy), and rewrite the patch sites of the holes that moved. The
 // -paranoid mode cross-checks every patched lowering against a from-scratch
@@ -50,24 +60,45 @@ import (
 )
 
 // Cache is the per-worker reusable backend state: IR templates keyed on the
-// identity of the analyzed template program, the optimization passes'
-// scratch tables, and the pooled VM execution state. A Cache is strictly single-goroutine — campaign workers each hold
+// identity of the analyzed template program, one per shape class, the
+// optimization passes' scratch tables, and the pooled VM execution state.
+// A Cache is strictly single-goroutine — campaign workers each hold
 // their own — and the outcome returned by RunCached aliases cache-owned
 // scratch storage that the next RunCached call on the same cache recycles.
 type Cache struct {
-	templates map[*cc.Program]*irTemplate
+	templates map[*cc.Program]*templateSet
 	exec      *execState
 	passes    passCtx
 	stats     CacheStats
 }
 
-// CacheStats counts the cache's template activity: how many IR templates
-// were lowered (once per skeleton per cache), how many compilations were
-// served by trace replay + patch, and how many fell back to a fresh
-// lowering (unsupported templates, '&'-holes, shape changes). It also
-// splits executions by dispatch engine, counts batched runs, and counts
-// the runs the loop detector cut short. Plain ints — the cache is
-// single-goroutine — read by the campaign's telemetry once per shard.
+// maxClassTemplates caps the shape-class templates one program keeps, which
+// bounds the cache's memory: a program's class count grows with the walk,
+// since each volatile hole multiplies it by its candidates. Measured at one
+// worker without a cap, one paper seed held 80 templates after a
+// 100-variant walk and 524 after a 1,000-variant walk, which doubled the
+// process's peak RSS (17 to 33 MB). At 16, 7.5% of the paper seeds'
+// compilations across all four releases lower fresh, and 4.7% of the
+// generated testsuite's, against 9.5% and 37% at 8.
+const maxClassTemplates = 16
+
+// templateSet is one program's class templates, in build order.
+type templateSet struct {
+	list []*irTemplate
+	// closed stops further builds once one failed structurally (lowering
+	// rejected a construct); compilations no template serves lower fresh.
+	closed bool
+}
+
+// CacheStats counts the cache's template activity: how many class
+// templates were lowered (at most maxClassTemplates per program per
+// cache; a build that fails structurally counts, and is the program's
+// last), how many compilations were served by trace replay + patch, and
+// how many lowered fresh (past the cap, or on a program whose lowering
+// fails structurally). It also splits executions by dispatch engine,
+// counts batched runs, and counts the runs the loop detector cut short.
+// Plain ints — the cache is single-goroutine — read by the campaign's
+// telemetry once per shard.
 type CacheStats struct {
 	TemplateBuilds int64
 	Replays        int64
@@ -103,60 +134,83 @@ func (ca *Cache) Stats() CacheStats { return ca.stats }
 
 // NewCache returns an empty backend cache.
 func NewCache() *Cache {
-	return &Cache{templates: make(map[*cc.Program]*irTemplate), exec: newExecState()}
+	return &Cache{templates: make(map[*cc.Program]*templateSet), exec: newExecState()}
 }
 
-// template returns the IR template for prog, building it on first use.
-// holes are the program's hole identifiers (skeleton.Instance.HoleIdents),
-// whose current Sym bindings define each variant.
-func (ca *Cache) template(prog *cc.Program, holes []*cc.Ident) *irTemplate {
-	if tm, ok := ca.templates[prog]; ok {
-		return tm
+// templatesOf returns prog's class templates, empty on first use.
+func (ca *Cache) templatesOf(prog *cc.Program) *templateSet {
+	ts, ok := ca.templates[prog]
+	if !ok {
+		ts = &templateSet{}
+		ca.templates[prog] = ts
+	}
+	return ts
+}
+
+// classTemplate returns the template of the current fill's shape class,
+// building it from the current fill when the class is new and the set has
+// room; nil means the compilation lowers fresh. holes are the program's
+// hole identifiers (skeleton.Instance.HoleIdents), whose current Sym
+// bindings define each variant.
+func (ca *Cache) classTemplate(ts *templateSet, prog *cc.Program, holes []*cc.Ident) *irTemplate {
+	for _, tm := range ts.list {
+		if tm.patchable() {
+			return tm
+		}
+	}
+	if ts.closed || len(ts.list) == maxClassTemplates {
+		return nil
 	}
 	tm := buildTemplate(prog, holes)
-	ca.templates[prog] = tm
 	ca.stats.TemplateBuilds++
+	if tm == nil {
+		ts.closed = true
+		return nil
+	}
+	ts.list = append(ts.list, tm)
 	return tm
 }
 
-// RunCached is Compiler.Run with template-cached lowering: the template
-// program is lowered once per Cache, and each call patches the recorded
-// hole sites to the holes' current symbol bindings instead of re-lowering.
-// It is byte-for-byte equivalent to Run — same coverage hits, same seeded
-// crashes, same optimized IR, same execution — which the campaign pins with
-// reuse-on/off report equivalence tests. With paranoid set, every
-// template-derived lowering is additionally compared against a fresh
-// Lower of the same program; a divergence is returned as a non-nil error
-// (the campaign aborts on it), and so is a divergence of an execution the
-// loop detector cut short from a fresh run of the switch loop.
+// RunCached is Compiler.Run with template-cached lowering: each shape
+// class of the program is lowered once per Cache, and each call patches
+// the recorded hole sites to the holes' current symbol bindings instead of
+// re-lowering. It is byte-for-byte equivalent to Run — same coverage hits,
+// same seeded crashes, same optimized IR, same execution — which the
+// campaign pins with reuse-on/off report equivalence tests. With paranoid
+// set, every template-derived lowering is additionally compared against a
+// fresh Lower of the same program; a divergence is returned as a non-nil
+// error (the campaign aborts on it), and so is a divergence of an
+// execution the loop detector cut short from a fresh run of the switch
+// loop.
 //
 // Ownership: the returned outcome (including Compile.Program) aliases the
 // cache's scratch clone and is valid until the next RunCached on the same
 // Cache. Holes must be the same slice identity-wise for every call with the
 // same prog.
 func (c *Compiler) RunCached(ca *Cache, prog *cc.Program, holes []*cc.Ident, cfg ExecConfig, paranoid bool) (*RunOutcome, error) {
-	tm := ca.template(prog, holes)
+	tm := ca.classTemplate(ca.templatesOf(prog), prog, holes)
 	return c.runOnce(ca, tm, prog, c.bugSet(), cfg, paranoid)
 }
 
 // RunBatch runs n variants of one skeleton through the cached backend,
-// amortizing the per-call setup (bug-set resolution, template lookup)
-// across the whole shard. bind(i) patches the program to variant i — the
-// campaign rebinds holes via the skeleton instance — and returns that
-// variant's execution bounds; yield(i, ro) observes the outcome while the
-// program is still bound to variant i (the outcome aliases cache scratch,
-// exactly as with RunCached). Variants run in ascending order; the first
-// error from bind or yield aborts the batch.
+// amortizing the per-call setup (bug-set resolution, the lookup of the
+// program's template list) across the whole shard; each variant then
+// finds its class template in that list. bind(i) patches the program to
+// variant i — the campaign rebinds holes via the skeleton instance — and
+// returns that variant's execution bounds; yield(i, ro) observes the
+// outcome while the program is still bound to variant i (the outcome
+// aliases cache scratch, exactly as with RunCached). Variants run in
+// ascending order; the first error from bind or yield aborts the batch.
 func (c *Compiler) RunBatch(ca *Cache, prog *cc.Program, holes []*cc.Ident, paranoid bool, n int, bind func(i int) (ExecConfig, error), yield func(i int, ro *RunOutcome) error) error {
 	bugs := c.bugSet()
-	tm := ca.template(prog, holes)
+	ts := ca.templatesOf(prog)
 	ca.stats.Batches++
 	for i := 0; i < n; i++ {
 		cfg, err := bind(i)
 		if err != nil {
 			return err
 		}
-		ro, err := c.runOnce(ca, tm, prog, bugs, cfg, paranoid)
+		ro, err := c.runOnce(ca, ca.classTemplate(ts, prog, holes), prog, bugs, cfg, paranoid)
 		if err != nil {
 			return err
 		}
@@ -169,18 +223,18 @@ func (c *Compiler) RunBatch(ca *Cache, prog *cc.Program, holes []*cc.Ident, para
 }
 
 // runOnce is the per-variant core shared by RunCached and RunBatch:
-// replay-or-relower, optional paranoid cross-check, optimization passes,
-// execution, and under paranoid a switch-loop re-run of an execution the
-// loop detector cut short.
+// replay (tm non-nil) or fresh lowering, optional paranoid cross-check,
+// optimization passes, execution, and under paranoid a switch-loop re-run
+// of an execution the loop detector cut short.
 func (c *Compiler) runOnce(ca *Cache, tm *irTemplate, prog *cc.Program, bugs *BugSet, cfg ExecConfig, paranoid bool) (*RunOutcome, error) {
 	cov := c.Coverage
-	irp, usedTemplate, lerr := lowerFrom(tm, prog, bugs, cov)
-	if usedTemplate {
+	irp, lerr := lowerFrom(tm, prog, bugs, cov)
+	if tm != nil {
 		ca.stats.Replays++
 	} else {
 		ca.stats.FreshLowerings++
 	}
-	if paranoid && usedTemplate {
+	if paranoid && tm != nil {
 		if err := tm.crossCheck(prog, bugs, irp, lerr); err != nil {
 			return nil, err
 		}
@@ -257,16 +311,14 @@ func sameExec(got, want *ExecResult) error {
 		got.Exit, got.Trap, got.Timeout, got.Aborted, got.Steps, want.Exit, want.Trap, want.Timeout, want.Aborted, want.Steps)
 }
 
-// lowerFrom produces the variant's lowered IR: from the template when every
-// moved hole is patchable, from a fresh Lower otherwise. A seeded frontend
-// crash replayed from the trace is returned as a *CrashError, exactly as
-// Lower returns it.
-func lowerFrom(tm *irTemplate, prog *cc.Program, bugs *BugSet, cov *Coverage) (irp *Program, used bool, err error) {
-	if tm.unsupported || !tm.patchable() {
-		irp, err = Lower(prog, bugs, cov)
-		return irp, false, err
+// lowerFrom produces the variant's lowered IR: from tm, the template of the
+// current fill's shape class, or from a fresh Lower when tm is nil. A
+// seeded frontend crash replayed from the trace is returned as a
+// *CrashError, exactly as Lower returns it.
+func lowerFrom(tm *irTemplate, prog *cc.Program, bugs *BugSet, cov *Coverage) (irp *Program, err error) {
+	if tm == nil {
+		return Lower(prog, bugs, cov)
 	}
-	used = true
 	defer func() {
 		if r := recover(); r != nil {
 			if ce, ok := r.(*CrashError); ok {
@@ -277,8 +329,7 @@ func lowerFrom(tm *irTemplate, prog *cc.Program, bugs *BugSet, cov *Coverage) (i
 		}
 	}()
 	tm.replay(bugs, cov)
-	irp = tm.instantiate()
-	return irp, true, nil
+	return tm.instantiate(), nil
 }
 
 // ---------------------------------------------------------------- template
@@ -401,28 +452,24 @@ type irTemplate struct {
 	regSites [][]irSite
 	memSites [][]irSite
 	events   []traceEvent
-	// unsupported marks a template whose lowering failed structurally;
-	// every variant takes the fresh-lowering path (and fails identically).
-	unsupported bool
 
 	scratch *irClone
 }
 
-// buildTemplate lowers prog once with tracing enabled. The build runs with
-// no active bugs and no recorder: bug checks and coverage hits are replayed
-// per variant from the trace instead.
+// buildTemplate lowers prog once with tracing enabled, taking the base from
+// the holes' current bindings; it returns nil when the lowering fails
+// structurally. The build runs with no active bugs and no recorder: bug
+// checks and coverage hits are replayed per variant from the trace instead.
 func buildTemplate(prog *cc.Program, holes []*cc.Ident) *irTemplate {
-	tm := &irTemplate{holes: holes, base: make([]*cc.Symbol, len(holes))}
-	for i, id := range holes {
-		tm.base[i] = id.Sym
-	}
 	tr := newLowerTrace(holes)
 	irp, err := lowerProgram(prog, EmptyBugSet(), nil, tr)
 	if err != nil {
-		tm.unsupported = true
-		return tm
+		return nil
 	}
-	tm.prog = irp
+	tm := &irTemplate{prog: irp, holes: holes, base: make([]*cc.Symbol, len(holes))}
+	for i, id := range holes {
+		tm.base[i] = id.Sym
+	}
 	for _, fd := range prog.Funcs {
 		tm.funcs = append(tm.funcs, irp.Funcs[fd.Name])
 	}
@@ -474,7 +521,7 @@ func (tm *irTemplate) cmpBrBlocked(fi int, f *Func) map[*Block]bool {
 
 // addrTakenHoles marks holes that appear directly under '&': refilling one
 // moves the address-taken set, which changes register promotion globally,
-// so those variants must re-lower from scratch.
+// so a template serves only fills that leave them at its base symbols.
 func addrTakenHoles(prog *cc.Program, holeOf map[*cc.Ident]int) []bool {
 	out := make([]bool, len(holeOf))
 	var walkExpr func(cc.Expr)
@@ -574,7 +621,8 @@ func addrTakenHoles(prog *cc.Program, holeOf map[*cc.Ident]int) []bool {
 // patchable reports whether every hole whose symbol moved off the template
 // base can be patched in place: not volatile, and the same lowering shape
 // as the base symbol (register candidates are register-promoted in the
-// hole's function, memory candidates are not).
+// hole's function, memory candidates are not). It is the membership test
+// of the template's shape class.
 func (tm *irTemplate) patchable() bool {
 	for i, id := range tm.holes {
 		if id.Sym == tm.base[i] {

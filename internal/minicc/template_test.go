@@ -3,10 +3,12 @@ package minicc_test
 import (
 	"fmt"
 	"math/big"
+	"strings"
 	"testing"
 
 	"spe/internal/cc"
 	"spe/internal/minicc"
+	"spe/internal/partition"
 	"spe/internal/skeleton"
 	"spe/internal/spe"
 )
@@ -145,8 +147,9 @@ int main() {
 }
 
 // TestTemplateEquivalenceAddrTakenFallback sweeps a skeleton with holes
-// under '&' (volatile: refilling moves the address-taken set): those
-// variants must fall back to fresh lowering and still agree everywhere.
+// under '&' (volatile: refilling moves the address-taken set): each symbol
+// under '&' is its own shape class with its own template, and every
+// variant must still agree everywhere.
 func TestTemplateEquivalenceAddrTakenFallback(t *testing.T) {
 	sweepSkeleton(t, `
 int main() {
@@ -161,7 +164,8 @@ int main() {
 
 // TestTemplateEquivalenceMixedShapes sweeps a skeleton where hole groups
 // mix register-promoted locals with an address-taken (memory) local of the
-// same type, forcing shape-mismatch fallbacks on some fillings.
+// same type, so fillings move holes between register and memory shape and
+// the cache builds a template per shape class.
 func TestTemplateEquivalenceMixedShapes(t *testing.T) {
 	sweepSkeleton(t, `
 int main() {
@@ -172,6 +176,137 @@ int main() {
     return a + b + *p;
 }
 `, 300)
+}
+
+// rebind refills the holes of in given by index with the variables of the
+// given names; every other hole keeps its current variable.
+func rebind(t *testing.T, sk *skeleton.Skeleton, in *skeleton.Instance, to map[int]string) {
+	t.Helper()
+	fill := in.Fill()
+	for hi, name := range to {
+		found := false
+		for _, gi := range sk.Holes[hi].Allowed {
+			for si, sym := range sk.Groups[gi].Syms {
+				if sym.Name == name {
+					fill[hi], found = partition.VarRef{Group: gi, Index: si}, true
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("hole %d admits no variable %q", hi, name)
+		}
+	}
+	if err := in.Instantiate(fill); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTemplateShapeClassesAndBack moves one skeleton's fills through three
+// shape classes and back to the first, each fill under two versions and
+// every -O level. Each class builds exactly one template, the return
+// replays the first class's template with no build and no fresh lowering,
+// and every outcome and coverage count equals the plain pipeline's
+// (runBoth, which also cross-checks each patched lowering against a fresh
+// one).
+func TestTemplateShapeClassesAndBack(t *testing.T) {
+	sk := skeleton.MustBuild(`
+int g = 7;
+int main() {
+    int a = 1, b = 2, c = 3;
+    int *p = &a;
+    b = b + c;
+    c = b * 2;
+    printf("%d %d\n", b + *p, c);
+    return 0;
+}
+`)
+	// hole 0 is the a under '&'; hole 2 is the b read in b + c
+	steps := []struct {
+		name   string
+		to     map[int]string
+		builds int64
+	}{
+		{"registers", nil, 1},                           // every hole but hole 0 reads a register
+		{"memory", map[int]string{2: "g"}, 2},           // hole 2 moves register -> memory
+		{"volatile", map[int]string{0: "g", 2: "b"}, 3}, // &g: a is promoted, g's address is taken
+		{"back", map[int]string{0: "a", 2: "c"}, 3},     // the first class, hole 2 patched to c
+	}
+	in := sk.NewInstance()
+	ca := minicc.NewCache()
+	for _, st := range steps {
+		rebind(t, sk, in, st.to)
+		before := ca.Stats()
+		for _, ver := range []string{"4.8", "trunk"} {
+			for _, opt := range minicc.OptLevels {
+				c := &minicc.Compiler{Version: ver, Opt: opt, Seeded: true}
+				runBoth(t, c, ca, in.Program(), in.HoleIdents(), fmt.Sprintf("%s %s -O%d", st.name, ver, opt))
+			}
+		}
+		d := ca.Stats().Sub(before)
+		if got := ca.Stats().TemplateBuilds; got != st.builds {
+			t.Errorf("%s: %d templates built so far, want %d", st.name, got, st.builds)
+		}
+		if d.FreshLowerings != 0 || d.Replays != 2*int64(len(minicc.OptLevels)) {
+			t.Errorf("%s: %d fresh lowerings and %d replays, want every compilation replayed", st.name, d.FreshLowerings, d.Replays)
+		}
+	}
+}
+
+// TestTemplateClassCap refills one '&' hole with more variables than the
+// class cap allows: each variable under '&' is its own shape class. The
+// program keeps MaxClassTemplates templates, the classes past the cap lower
+// fresh, the first class still replays afterwards, and every outcome
+// agrees with the plain pipeline's.
+func TestTemplateClassCap(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("int main() {\n    int v0 = 0")
+	n := minicc.MaxClassTemplates + 4
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&src, ", v%d = %d", i, i)
+	}
+	src.WriteString(";\n    int *p = &v0;\n    *p = *p + v1;\n    return *p + v2;\n}\n")
+	sk := skeleton.MustBuild(src.String())
+	in := sk.NewInstance()
+	ca := minicc.NewCache()
+	c := &minicc.Compiler{Version: "trunk", Opt: 2, Seeded: true}
+	for i := 0; i < n; i++ {
+		rebind(t, sk, in, map[int]string{0: fmt.Sprintf("v%d", i)})
+		runBoth(t, c, ca, in.Program(), in.HoleIdents(), fmt.Sprintf("&v%d", i))
+	}
+	st := ca.Stats()
+	if st.TemplateBuilds != minicc.MaxClassTemplates || st.FreshLowerings != int64(n-minicc.MaxClassTemplates) {
+		t.Fatalf("%d templates built and %d fresh lowerings over %d classes, want %d and %d",
+			st.TemplateBuilds, st.FreshLowerings, n, minicc.MaxClassTemplates, n-minicc.MaxClassTemplates)
+	}
+	rebind(t, sk, in, map[int]string{0: "v0"})
+	runBoth(t, c, ca, in.Program(), in.HoleIdents(), "&v0 again")
+	if d := ca.Stats().Sub(st); d.Replays != 1 || d.TemplateBuilds != 0 {
+		t.Errorf("the first class again: %+v, want one replay and no build", d)
+	}
+}
+
+// TestTemplateUnsupportedLowersFresh pins the structural-failure path: a
+// program whose lowering fails makes one build attempt and no more, every
+// compilation lowers fresh, and each fails as the plain pipeline does.
+func TestTemplateUnsupportedLowersFresh(t *testing.T) {
+	sk := skeleton.MustBuild(`
+int main() {
+    int a = 1, b = 2;
+    a = a + b;
+    break;
+    return a;
+}
+`)
+	in := sk.NewInstance()
+	ca := minicc.NewCache()
+	c := &minicc.Compiler{Version: "trunk", Opt: 1, Seeded: true}
+	for _, to := range []map[int]string{nil, {1: "b"}} {
+		rebind(t, sk, in, to)
+		runBoth(t, c, ca, in.Program(), in.HoleIdents(), fmt.Sprintf("fill %v", to))
+	}
+	if st := ca.Stats(); st.TemplateBuilds != 1 || st.FreshLowerings != 2 || st.Replays != 0 {
+		t.Errorf("%+v, want one build attempt and two fresh lowerings", st)
+	}
 }
 
 // TestTemplateEquivalenceGotoLoops covers the sticky goto-irreducibility
